@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +33,14 @@ from ..core.search import (
     vector_search_merged,
     vector_search_sharded,
 )
-from ..errors import SegmentOwnershipError
+from ..errors import SegmentOwnershipError, StalenessBoundError
 from ..core.service import EmbeddingStore
 from ..index.hnsw import HNSWIndex
 from ..index.pq import PQCodebook, PQCodes, PQSearchConfig
 from ..tier import demote_segment
 from ..serve.cache import ResultCache
 from ..serve.batcher import MicroBatcher
+from ..serve.freshness import pin_fresh
 from ..serve.tenancy import TenantRegistry, WeightedFairQueue
 from .explore import Scenario
 from .hooks import schedule_point
@@ -217,21 +219,23 @@ class SessionTokenVsCommitPublish(Scenario):
     there *before* ``GraphStore.last_tid`` — then asks to be served
     read-your-writes.
 
-    With ``validate=False`` (no token check) there is an interleaving —
-    token read post-hook, snapshot pinned pre-``last_tid`` — where the
-    "serving snapshot" predates the very commit the token names, and the
-    client reads a top-k missing its own write.  With ``validate=True``
-    (the shipped ``QueryServer._execute_sla`` logic: only serve from a
-    snapshot whose TID covers the token, bounded retries, fail typed
-    otherwise) every interleaving must pass.
+    Worker 1 pins through the shipped :func:`~repro.serve.freshness.
+    pin_fresh`.  With ``validate=False`` the token is not handed to it (no
+    token check), and there is an interleaving — token read post-hook,
+    snapshot pinned pre-``last_tid`` — where the "serving snapshot"
+    predates the very commit the token names, and the client reads a
+    top-k missing its own write.  With ``validate=True`` (serve only from
+    a snapshot whose TID covers the token, re-pin until the wait budget
+    runs out, then fail typed) every interleaving must pass.
     """
 
     threads = 2
     description = "read-your-writes token vs commit publish window"
 
-    #: Mirrors the server's bounded staleness_wait: give up (fail typed)
-    #: rather than spin forever inside an adversarial schedule.
-    _MAX_RETRIES = 8
+    #: The server's bounded staleness_wait, kept short: an adversarial
+    #: schedule that starves the committer ends in a typed failure well
+    #: inside the explorer's step budget.
+    _WAIT_SECONDS = 0.005
 
     def __init__(self, validate: bool = True):
         self.validate = validate
@@ -260,19 +264,21 @@ class SessionTokenVsCommitPublish(Scenario):
             return
         store = state.db.service.store("Doc", "vec")
         state.token = EmbeddingStore.watermark_tid(store.watermark())
-        for _ in range(self._MAX_RETRIES):
-            with state.db.snapshot() as snapshot:
-                if not self.validate or snapshot.tid >= state.token:
-                    state.served = [
-                        (vtype, vid)
-                        for _, vtype, vid in vector_search_merged(
-                            state.db.service, snapshot, [_ATTR], state.query, _K
-                        )
-                    ]
-                    return
-            schedule_point("serve.sla.retry")
-        # Retry budget exhausted with the token still uncovered: the server
-        # fails this request typed (StalenessBoundError), never stale.
+        try:
+            with pin_fresh(
+                state.db,
+                [_ATTR],
+                session_token=state.token if self.validate else None,
+                limit=time.monotonic() + self._WAIT_SECONDS,
+            ) as (snapshot, _, _):
+                state.served = [
+                    (vtype, vid)
+                    for _, vtype, vid in vector_search_merged(
+                        state.db.service, snapshot, [_ATTR], state.query, _K
+                    )
+                ]
+        except StalenessBoundError:
+            pass  # token still uncovered: failed typed, never stale
 
     def check(self, state) -> None:
         if state.served is None:

@@ -26,7 +26,7 @@ from ..errors import VectorSearchError
 from ..graph.mpp import MPPExecutor
 from ..index.bitmap import Bitmap
 from ..index.interface import SearchResult
-from .service import EmbeddingStore
+from .service import EmbeddingStore, merge_topk
 
 __all__ = ["ActionStats", "EmbeddingAction"]
 
@@ -119,15 +119,11 @@ class EmbeddingAction:
             )
 
         outputs = self._run_segments(local, seg_nos)
-        merged: list[tuple[float, int]] = []
         for out in outputs:
             stats.segments_touched += 1
             stats.segments_bruteforce += int(out.used_bruteforce)
             stats.candidates += len(out.offsets)
-            base = out.seg_no * store.segment_size
-            merged.extend(zip(out.distances, (base + o for o in out.offsets)))
-        merged.sort()
-        merged = merged[:k]
+        merged = merge_topk((out.pairs(store.segment_size) for out in outputs), k)
         stats.elapsed_seconds = time.perf_counter() - start
         self.last_stats = stats
         if not merged:
@@ -170,8 +166,7 @@ class EmbeddingAction:
                 )
                 if not out.offsets:
                     return results
-                base = seg_no * store.segment_size
-                pairs = list(zip(out.distances, (base + o for o in out.offsets)))
+                pairs = out.pairs(store.segment_size)
                 exhausted = len(pairs) < k or k >= cap
                 median = float(np.median(out.distances))
                 if threshold <= median or exhausted:

@@ -162,6 +162,7 @@ class AccessController:
         """
         from .action import EmbeddingAction
         from .embedding import check_compatible
+        from .search import filter_bitmaps, merge_attribute_topk
         from ..errors import VectorSearchError
 
         if isinstance(role, str):
@@ -176,37 +177,23 @@ class AccessController:
         check_compatible([(q, e) for q, _, e in resolved])
         query = np.asarray(query_vector, dtype=np.float32).reshape(-1)
 
-        merged: list[tuple[float, str, int]] = []
+        parts = []
         with self.db.snapshot() as snapshot:
             for qualified, vertex_type, _ in resolved:
                 if not role.can_access_type(vertex_type):
                     continue
-                auth = self.authorization_bitmaps(role, snapshot, vertex_type)
+                bitmaps = self.authorization_bitmaps(role, snapshot, vertex_type)
                 if filter is not None:
-                    vids = filter.vids_of_type(vertex_type)
-                    user = [
-                        Bitmap.wrap(m)
-                        for m in snapshot.bitmap_from_vids(vertex_type, vids)
-                    ]
-                    while len(user) < len(auth):
-                        user.append(Bitmap.empty(snapshot._store.segment_size))
-                    bitmaps = [a.intersect(u) for a, u in zip(auth, user)]
-                else:
-                    bitmaps = auth
+                    user = filter_bitmaps(snapshot, vertex_type, filter)
+                    bitmaps = [a.intersect(u) for a, u in zip(bitmaps, user)]
                 store = self.db.service.store(
                     vertex_type, qualified.split(".", 1)[1]
                 )
-                while len(bitmaps) < store.num_segments:
-                    bitmaps.append(Bitmap.empty(store.segment_size))
-                action = EmbeddingAction(store)
-                result = action.topk(
+                result = EmbeddingAction(store).topk(
                     query, k, snapshot_tid=snapshot.tid, ef=ef, bitmaps=bitmaps
                 )
-                merged.extend(
-                    (float(d), vertex_type, int(v)) for v, d in result
-                )
-        merged.sort(key=lambda e: e[0])
+                parts.append((vertex_type, zip(result.distances, result.ids)))
         out = VertexSet(name=f"TopK[{role.name}]")
-        for _, vertex_type, vid in merged[:k]:
+        for _, vertex_type, vid in merge_attribute_topk(parts, k):
             out.add(vertex_type, vid)
         return out

@@ -251,24 +251,21 @@ class TigerVectorDB:
         k: int,
         ef: int | None = None,
         snapshot: Snapshot | None = None,
-        min_fused: int = 4,
     ) -> list[VertexSet]:
-        """Fused multi-query VectorSearch: one segment pass for all queries.
+        """Multi-query VectorSearch: one segment pass for all queries.
 
-        The kernel behind ``repro.serve``'s micro-batcher, exposed for
+        The path behind ``repro.serve``'s micro-batcher, exposed for
         direct use.  All queries run against one MVCC snapshot; returns one
         :class:`VertexSet` per query row.
         """
         if snapshot is not None:
             batches = vector_search_batch(
-                self.service, snapshot, vector_attributes, query_vectors, k,
-                ef=ef, min_fused=min_fused,
+                self.service, snapshot, vector_attributes, query_vectors, k, ef=ef
             )
         else:
             with self.snapshot() as snap:
                 batches = vector_search_batch(
-                    self.service, snap, vector_attributes, query_vectors, k,
-                    ef=ef, min_fused=min_fused,
+                    self.service, snap, vector_attributes, query_vectors, k, ef=ef
                 )
         return [build_topk_vertex_set(top, None) for top in batches]
 

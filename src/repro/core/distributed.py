@@ -36,7 +36,7 @@ from ..faults.injector import FaultInjector
 from ..faults.resilience import CircuitBreaker, ResiliencePolicy
 from ..index.interface import SearchResult
 from ..telemetry import QueryProfile, get_telemetry
-from .service import EmbeddingStore
+from .service import EmbeddingStore, merge_topk
 
 __all__ = ["DistributedSearchOutput", "DistributedSearcher"]
 
@@ -125,7 +125,7 @@ class DistributedSearcher:
         backoff_budget = 0.0  # simulated backoff counts against the deadline
         segment_seconds: dict[int, float] = {}
         per_machine: dict[int, float] = {}
-        merged: list[tuple[float, int]] = []
+        outputs = []
         failed: list[int] = []
         retries = 0
         hedges = 0
@@ -168,10 +168,10 @@ class DistributedSearcher:
                     continue
                 segment_seconds[seg_no] = cost
                 per_machine[served_by] = per_machine.get(served_by, 0.0) + cost
-                base = seg_no * self.store.segment_size
-                merged.extend(zip(out.distances, (base + o for o in out.offsets)))
-            merged.sort()
-            merged = merged[:k]
+                outputs.append(out)
+            merged = merge_topk(
+                (out.pairs(self.store.segment_size) for out in outputs), k
+            )
             if merged:
                 dists, vids = zip(*merged)
                 result = SearchResult(

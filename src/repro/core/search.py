@@ -32,11 +32,13 @@ from ..index.bitmap import Bitmap
 from ..telemetry import get_telemetry
 from .action import EmbeddingAction
 from .embedding import check_compatible
-from .service import EmbeddingService
+from .service import EmbeddingService, merge_topk
 
 __all__ = [
     "VectorSearchOptions",
     "build_topk_vertex_set",
+    "filter_bitmaps",
+    "merge_attribute_topk",
     "merge_sharded_topk",
     "vector_search",
     "vector_search_batch",
@@ -77,14 +79,46 @@ def _validate_query(query_vector: np.ndarray, representative) -> np.ndarray:
     return query
 
 
+def filter_bitmaps(
+    snapshot: Snapshot, vertex_type: str, candidates: VertexSet
+) -> list[Bitmap]:
+    """Per-segment pre-filter bitmaps marking ``candidates`` of one type.
+
+    Empty when the set holds no vertex of ``vertex_type``, so callers skip
+    that type.  Segments past the end of the list are treated as empty by
+    :meth:`EmbeddingAction.topk`, so nobody pads.
+    """
+    vids = candidates.vids_of_type(vertex_type)
+    if not vids:
+        return []
+    return [Bitmap.wrap(mask) for mask in snapshot.bitmap_from_vids(vertex_type, vids)]
+
+
+def merge_attribute_topk(parts, k: int) -> list[tuple[float, str, int]]:
+    """The one attribute-level merge into sorted ``(distance, type, vid)``.
+
+    ``parts`` holds one ``(vertex_type, pairs)`` entry per attribute, in
+    attribute order, where ``pairs`` are that attribute's ``(distance,
+    vid)`` top-k.  They are flattened in that order and stable-sorted by
+    distance, so equal distances keep attribute order, then vid order.
+    """
+    merged = [
+        (float(dist), vertex_type, int(vid))
+        for vertex_type, pairs in parts
+        for dist, vid in pairs
+    ]
+    merged.sort(key=lambda item: item[0])
+    return merged[:k]
+
+
 def build_topk_vertex_set(
     top: list[tuple[float, str, int]], distance_map: MapAccum | None
 ) -> VertexSet:
     """Materialize sorted ``(distance, vertex_type, vid)`` triples.
 
     Shared by the direct :func:`vector_search` path and the serving layer
-    (``repro.serve``), so a server answer — cached, fused, or per-query — is
-    constructed exactly like a direct call's.
+    (``repro.serve``), so a server answer — cached, batched, or per-query —
+    is constructed exactly like a direct call's.
     """
     out = VertexSet(name="TopK")
     for dist, vertex_type, vid in top:
@@ -92,6 +126,59 @@ def build_topk_vertex_set(
         if distance_map is not None:
             distance_map.put((vertex_type, vid), dist)
     return out
+
+
+def _attribute_parts(
+    service: EmbeddingService,
+    snapshot: Snapshot,
+    resolved,
+    query: np.ndarray,
+    k: int,
+    options: VectorSearchOptions,
+    groups=None,
+    group_size: int = 1,
+) -> list[tuple[str, tuple[tuple[float, int], ...]]]:
+    """Each attribute's local top-k ``(distance, vid)`` pairs for one query.
+
+    ``groups`` restricts the search to segments whose group (``seg_no //
+    group_size``) it contains; ``None`` searches every segment.
+    """
+    tel = get_telemetry()
+    parts = []
+    for qualified, vertex_type, _ in resolved:
+        store = service.store(vertex_type, qualified.split(".", 1)[1])
+        bitmaps = None
+        if options.filter is not None:
+            bitmaps = filter_bitmaps(snapshot, vertex_type, options.filter)
+            if not bitmaps:
+                parts.append((vertex_type, ()))
+                continue
+        seg_nos = None
+        if groups is not None:
+            seg_nos = [
+                seg_no
+                for seg_no in range(store.num_segments)
+                if seg_no // group_size in groups
+            ]
+        with tel.span("vector.attribute", attribute=qualified):
+            result = EmbeddingAction(store).topk(
+                query,
+                k,
+                snapshot_tid=snapshot.tid,
+                ef=options.ef,
+                bitmaps=bitmaps,
+                seg_nos=seg_nos,
+            )
+        parts.append(
+            (
+                vertex_type,
+                tuple(
+                    (float(dist), int(vid))
+                    for vid, dist in zip(result.ids, result.distances)
+                ),
+            )
+        )
+    return parts
 
 
 def vector_search_merged(
@@ -114,36 +201,12 @@ def vector_search_merged(
     resolved, representative = _resolve_attributes(service, vector_attributes)
     query = _validate_query(query_vector, representative)
 
-    tel = get_telemetry()
-    merged: list[tuple[float, str, int]] = []
-    with tel.span(
+    with get_telemetry().span(
         "vector.search", k=k, attributes=list(vector_attributes)
     ) as vspan:
-        for qualified, vertex_type, _ in resolved:
-            store = service.store(vertex_type, qualified.split(".", 1)[1])
-            bitmaps = None
-            if options.filter is not None:
-                vids = options.filter.vids_of_type(vertex_type)
-                if not vids:
-                    continue
-                bitmaps = [
-                    Bitmap.wrap(mask)
-                    for mask in snapshot.bitmap_from_vids(vertex_type, vids)
-                ]
-                while len(bitmaps) < store.num_segments:
-                    bitmaps.append(Bitmap.empty(store.segment_size))
-            action = EmbeddingAction(store)
-            with tel.span("vector.attribute", attribute=qualified):
-                result = action.topk(
-                    query, k, snapshot_tid=snapshot.tid, ef=options.ef, bitmaps=bitmaps
-                )
-            merged.extend(
-                (float(dist), vertex_type, int(vid)) for vid, dist in result
-            )
-        vspan.set(merged_candidates=len(merged))
-
-    merged.sort(key=lambda item: item[0])
-    return merged[:k]
+        parts = _attribute_parts(service, snapshot, resolved, query, k, options)
+        vspan.set(merged_candidates=sum(len(pairs) for _, pairs in parts))
+    return merge_attribute_topk(parts, k)
 
 
 def vector_search_sharded(
@@ -166,14 +229,11 @@ def vector_search_sharded(
     local top-k ``(distance, vid)`` tuples sorted exactly as
     :meth:`EmbeddingAction.topk` sorts them (distance, then vid).
 
-    ``groups=None`` searches every segment, which makes the single-shard
-    merge byte-identical to :func:`vector_search_merged`: the per-attribute
-    pairs are then the very lists that function flattens, and the merge
-    applies the same attribute-ordered stable sort.  With complementary
-    group subsets the union of partial top-k lists per attribute contains
-    the attribute's global top-k (top-k of a union is contained in the
-    union of per-part top-k), and the (distance, vid) total order makes
-    the merged result identical regardless of how segments were split.
+    These are the very per-attribute lists :func:`vector_search_merged`
+    merges, so with ``groups=None`` the single-shard merge is
+    byte-identical to it, and with complementary group subsets
+    :func:`~repro.core.service.merge_topk` rebuilds each attribute's
+    whole-store top-k.
     """
     if k <= 0:
         raise VectorSearchError("k must be positive")
@@ -183,54 +243,15 @@ def vector_search_sharded(
     resolved, representative = _resolve_attributes(service, vector_attributes)
     query = _validate_query(query_vector, representative)
 
-    tel = get_telemetry()
-    parts: list[tuple[str, tuple[tuple[float, int], ...]]] = []
-    with tel.span(
+    with get_telemetry().span(
         "vector.search_sharded",
         k=k,
         attributes=list(vector_attributes),
         groups=None if groups is None else sorted(groups),
     ):
-        for qualified, vertex_type, _ in resolved:
-            store = service.store(vertex_type, qualified.split(".", 1)[1])
-            bitmaps = None
-            if options.filter is not None:
-                vids = options.filter.vids_of_type(vertex_type)
-                if not vids:
-                    parts.append((vertex_type, ()))
-                    continue
-                bitmaps = [
-                    Bitmap.wrap(mask)
-                    for mask in snapshot.bitmap_from_vids(vertex_type, vids)
-                ]
-                while len(bitmaps) < store.num_segments:
-                    bitmaps.append(Bitmap.empty(store.segment_size))
-            seg_nos = None
-            if groups is not None:
-                seg_nos = [
-                    seg_no
-                    for seg_no in range(store.num_segments)
-                    if seg_no // group_size in groups
-                ]
-            action = EmbeddingAction(store)
-            result = action.topk(
-                query,
-                k,
-                snapshot_tid=snapshot.tid,
-                ef=options.ef,
-                bitmaps=bitmaps,
-                seg_nos=seg_nos,
-            )
-            parts.append(
-                (
-                    vertex_type,
-                    tuple(
-                        (float(dist), int(vid))
-                        for vid, dist in zip(result.ids, result.distances)
-                    ),
-                )
-            )
-    return parts
+        return _attribute_parts(
+            service, snapshot, resolved, query, k, options, groups, group_size
+        )
 
 
 def merge_sharded_topk(
@@ -241,28 +262,19 @@ def merge_sharded_topk(
 
     Every shard's output must come from :func:`vector_search_sharded` over
     the *same attribute list* (so attribute indexes align).  Per attribute,
-    the shard pair-lists are merged under the (distance, vid) total order
-    and truncated to k — reconstructing what a whole-store
-    :meth:`EmbeddingAction.topk` would have returned — then the attribute
-    results are flattened in attribute order and stable-sorted by distance,
-    which is exactly :func:`vector_search_merged`'s final merge.  The
-    output is therefore byte-identical to an unsharded search.
+    :func:`~repro.core.service.merge_topk` rebuilds what a whole-store
+    :meth:`EmbeddingAction.topk` would have returned; then
+    :func:`merge_attribute_topk` applies :func:`vector_search_merged`'s
+    final merge.  The output is therefore byte-identical to an unsharded
+    search.
     """
     if not shard_parts:
         return []
-    num_attrs = len(shard_parts[0])
-    merged: list[tuple[float, str, int]] = []
-    for attr_index in range(num_attrs):
-        vertex_type = shard_parts[0][attr_index][0]
-        pairs: list[tuple[float, int]] = []
-        for part in shard_parts:
-            pairs.extend(part[attr_index][1])
-        pairs.sort()
-        merged.extend(
-            (float(dist), vertex_type, int(vid)) for dist, vid in pairs[:k]
-        )
-    merged.sort(key=lambda item: item[0])
-    return merged[:k]
+    parts = [
+        (vertex_type, merge_topk((part[index][1] for part in shard_parts), k))
+        for index, (vertex_type, _) in enumerate(shard_parts[0])
+    ]
+    return merge_attribute_topk(parts, k)
 
 
 def vector_search(
@@ -296,24 +308,16 @@ def vector_search_batch(
     query_vectors: np.ndarray,
     k: int,
     ef: int | None = None,
-    min_fused: int = 4,
 ) -> list[list[tuple[float, str, int]]]:
-    """Fused multi-query VectorSearch (the serving micro-batch kernel).
+    """Multi-query VectorSearch (the serving micro-batch path).
 
-    Returns one sorted top-k triple list per query row.  Batches smaller
-    than ``min_fused`` fall back to the per-query path; at or above it every
-    segment is visited once for *all* queries:
-
-    - ``ef is None`` (approximate requests) →
-      :meth:`EmbeddingStore.search_segment_batch`, exact brute force, so
-      recall is never below the per-query path;
-    - explicit ``ef`` →
-      :meth:`EmbeddingStore.search_segment_multi`, lockstep-beam fused HNSW
-      (:meth:`~repro.index.hnsw.HNSWIndex.topk_search_multi`) that honours
-      the requested accuracy knob and returns results identical to running
-      the per-query path query by query.
-
-    Unfiltered only.
+    Returns one sorted top-k triple list per query row.  Each segment is
+    visited once for all queries through
+    :meth:`EmbeddingStore.search_segment_batch`: at the default ``ef`` a
+    batch of at least :data:`~repro.core.service.MIN_FUSED` queries shares
+    one exact scan (recall never below the per-query HNSW path); smaller
+    batches and explicit-``ef`` batches run each query exactly as
+    :func:`vector_search_merged` would.  Unfiltered only.
     """
     if k <= 0:
         raise VectorSearchError("k must be positive")
@@ -329,18 +333,8 @@ def vector_search_batch(
             f"expects {representative.dimension}"
         )
 
-    if queries.shape[0] < min_fused:
-        options = VectorSearchOptions(ef=ef)
-        return [
-            vector_search_merged(
-                service, snapshot, vector_attributes, query, k, options
-            )
-            for query in queries
-        ]
-
-    tel = get_telemetry()
-    per_query: list[list[tuple[float, str, int]]] = [[] for _ in range(queries.shape[0])]
-    with tel.span(
+    per_query: list[list] = [[] for _ in range(queries.shape[0])]
+    with get_telemetry().span(
         "vector.search_batch",
         k=k,
         batch=queries.shape[0],
@@ -348,23 +342,13 @@ def vector_search_batch(
     ):
         for qualified, vertex_type, _ in resolved:
             store = service.store(vertex_type, qualified.split(".", 1)[1])
-            for seg_no in range(store.num_segments):
-                if ef is None:
-                    outputs = store.search_segment_batch(
-                        seg_no, queries, k, snapshot_tid=snapshot.tid
-                    )
-                else:
-                    outputs = store.search_segment_multi(
-                        seg_no, queries, k, snapshot_tid=snapshot.tid, ef=ef
-                    )
-                base = seg_no * store.segment_size
-                for qi, output in enumerate(outputs):
-                    per_query[qi].extend(
-                        (float(dist), vertex_type, int(base + off))
-                        for off, dist in zip(output.offsets, output.distances)
-                    )
-    results: list[list[tuple[float, str, int]]] = []
-    for merged in per_query:
-        merged.sort(key=lambda item: item[0])
-        results.append(merged[:k])
-    return results
+            by_segment = [
+                store.search_segment_batch(seg_no, queries, k, snapshot.tid, ef=ef)
+                for seg_no in range(store.num_segments)
+            ]
+            for qi, parts in enumerate(per_query):
+                pairs = merge_topk(
+                    (outputs[qi].pairs(store.segment_size) for outputs in by_segment), k
+                )
+                parts.append((vertex_type, pairs))
+    return [merge_attribute_topk(parts, k) for parts in per_query]

@@ -28,7 +28,18 @@ from .delta import DELETE, UPSERT, DeltaFile, DeltaRecord, DeltaStore
 from .embedding import EmbeddingType
 from .segment import EmbeddingSegment, SegmentSnapshot
 
-__all__ = ["EmbeddingService", "EmbeddingStore", "SegmentSearchOutput"]
+__all__ = [
+    "MIN_FUSED",
+    "EmbeddingService",
+    "EmbeddingStore",
+    "SegmentSearchOutput",
+    "merge_topk",
+]
+
+#: A batch of at least this many default-``ef`` queries shares one exact
+#: scan per segment; smaller batches, and every explicit-``ef`` batch, run
+#: query by query.
+MIN_FUSED = 4
 
 
 class SegmentSearchOutput:
@@ -41,6 +52,25 @@ class SegmentSearchOutput:
         self.offsets = offsets
         self.distances = distances
         self.used_bruteforce = used_bruteforce
+
+    def pairs(self, segment_size: int) -> list[tuple[float, int]]:
+        """``(distance, global vid)`` pairs, vid = seg_no * segment_size + offset."""
+        base = self.seg_no * segment_size
+        return [(d, base + o) for d, o in zip(self.distances, self.offsets)]
+
+
+def merge_topk(pair_lists: Iterable[Iterable[tuple[float, int]]], k: int) -> list[tuple[float, int]]:
+    """The coordinator merge (Sec. 5.1): global top-k of local top-k lists.
+
+    Takes ``(distance, vid)`` lists — one per segment, or one per shard
+    for the same attribute — and returns their union ordered by
+    ``(distance, vid)`` and cut to ``k``.  The top-k of a union is
+    contained in the union of per-part top-k lists, and the order is
+    total, so the answer does not depend on how the parts were split.
+    """
+    merged = [pair for pairs in pair_lists for pair in pairs]
+    merged.sort()
+    return merged[:k]
 
 
 class EmbeddingStore:
@@ -348,23 +378,6 @@ class EmbeddingStore:
         keep = np.argpartition(dists, top - 1)[:top] if top < cand.size else np.arange(cand.size)
         return [(float(dists[i]), int(cand[i])) for i in keep]
 
-    @staticmethod
-    def _overlay_kernel(
-        overlay_last: dict[int, DeltaRecord],
-        fresh_offsets: list[int],
-        metric,
-    ) -> DistanceKernel:
-        """Transient distance kernel over the overlay's upserted vectors.
-
-        Built per search (overlays are small and change every commit); both
-        the per-query and the fused paths construct it the same way so their
-        overlay distances are computed by identical calls.
-        """
-        fresh_vectors = np.stack(
-            [overlay_last[off].vector for off in fresh_offsets]
-        ).astype(np.float32)
-        return DistanceKernel.for_matrix(fresh_vectors, metric)
-
     def search_segment(
         self,
         seg_no: int,
@@ -380,6 +393,53 @@ class EmbeddingStore:
         ``bitmap`` is the pre-filter validity mask over local offsets (None
         means "wrap the vertex status structure", i.e. everything present).
         """
+        queries = np.asarray(query, dtype=np.float32).reshape(1, -1)
+        return self._search(seg_no, queries, k, snapshot_tid, ef, bitmap, bf_threshold)[0]
+
+    def search_segment_batch(
+        self,
+        seg_no: int,
+        queries: np.ndarray,
+        k: int,
+        snapshot_tid: int,
+        ef: int | None = None,
+    ) -> list[SegmentSearchOutput]:
+        """Unfiltered top-k on one segment for a ``(Q, d)`` query matrix.
+
+        The serving micro-batch path: at the default ``ef`` a batch of at
+        least :data:`MIN_FUSED` queries shares one exact scan of the
+        segment; anything else runs each query exactly as
+        :meth:`search_segment` would.
+        """
+        queries = np.asarray(queries, dtype=np.float32)
+        return self._search(seg_no, queries, k, snapshot_tid, ef, None, None)
+
+    def _search(
+        self,
+        seg_no: int,
+        queries: np.ndarray,
+        k: int,
+        snapshot_tid: int,
+        ef: int | None,
+        bitmap: Bitmap | None,
+        bf_threshold: int | None,
+    ) -> list[SegmentSearchOutput]:
+        """The one per-segment search, for ``Q >= 1`` query rows.
+
+        Runs the hooks, resolves the MVCC view, adds the delta overlay and
+        sorts each query's candidates by ``(distance, offset)``, once each.
+        The strategy for the snapshot part is picked by one rule:
+
+        - cold (PQ) snapshot → ADC candidates + exact rerank, per query;
+        - ``Q >= MIN_FUSED`` at the default ``ef`` → one exact ``(Q, N)``
+          scan shared by the batch;
+        - fewer valid rows than ``bf_threshold`` → brute force, per query;
+        - otherwise → HNSW, per query.
+
+        A per-query strategy makes exactly the kernel calls a lone query
+        makes, so a query's answer depends on its batch only through the
+        exact-scan rule.
+        """
         fault_hook = self.fault_hook
         if fault_hook is not None:
             fault_hook(seg_no)  # may raise FaultInjectionError (chaos tests)
@@ -391,268 +451,68 @@ class EmbeddingStore:
         threshold = self.bf_threshold if bf_threshold is None else bf_threshold
         metric = self.embedding.metric
         valid_count = int(np.count_nonzero(allowed))
+        cold = snap.pq is not None
+        scan = not cold and ef is None and queries.shape[0] >= MIN_FUSED
+        used_bruteforce = scan or (valid_count > 0 and (cold or valid_count < threshold))
+        per_query: list[list[tuple[float, int]]] = [[] for _ in range(queries.shape[0])]
 
-        results: list[tuple[float, int]] = []
-        used_bruteforce = False
         if valid_count > 0:
-            if snap.pq is not None:
+            if cold:
                 get_telemetry().inc("tier.cold_hits")
-                used_bruteforce = True
-                results.extend(self._cold_topk(snap, query, k, allowed))
-            elif valid_count < threshold:
-                used_bruteforce = True
+                for results, query in zip(per_query, queries):
+                    results.extend(self._cold_topk(snap, query, k, allowed))
+            elif scan or valid_count < threshold:
                 offsets = np.flatnonzero(allowed)
                 kernel = snap.kernel(metric)
-                dists = kernel.distances(kernel.query(query), offsets)
+                if scan:
+                    rows = kernel.distances_multi(kernel.queries(queries), offsets)
+                else:
+                    rows = [kernel.distances(kernel.query(q), offsets) for q in queries]
                 top = min(k, offsets.size)
-                part = np.argpartition(dists, top - 1)[:top]
-                for i in part:
-                    results.append((float(dists[i]), int(offsets[i])))
+                for results, dists in zip(per_query, rows):
+                    part = np.argpartition(dists, top - 1)[:top]
+                    results.extend((float(dists[i]), int(offsets[i])) for i in part)
             else:
                 mask = allowed
 
                 def filter_fn(offset: int) -> bool:
                     return bool(mask[offset])
 
-                found = snap.index.topk_search(query, k, ef=ef, filter_fn=filter_fn)
-                results.extend((float(d), int(o)) for o, d in found)
+                for results, query in zip(per_query, queries):
+                    found = snap.index.topk_search(query, k, ef=ef, filter_fn=filter_fn)
+                    results.extend((float(d), int(o)) for o, d in found)
 
         # Brute force over overlay upserts (still subject to the pre-filter).
+        # Overlays are small and change every commit, so the kernel is
+        # built per search.
         fresh_offsets = [
             off
             for off, record in overlay_last.items()
             if record.action == UPSERT and (bitmap is None or bitmap.is_valid(off))
         ]
         if fresh_offsets:
-            okernel = self._overlay_kernel(overlay_last, fresh_offsets, metric)
-            dists = okernel.distances_prefix(okernel.query(query), len(fresh_offsets))
-            results.extend((float(d), int(o)) for d, o in zip(dists, fresh_offsets))
-
-        results.sort()
-        results = results[:k]
-        return SegmentSearchOutput(
-            seg_no,
-            offsets=[o for _, o in results],
-            distances=[d for d, _ in results],
-            used_bruteforce=used_bruteforce,
-        )
-
-    def search_segment_multi(
-        self,
-        seg_no: int,
-        queries: np.ndarray,
-        k: int,
-        snapshot_tid: int,
-        ef: int | None = None,
-    ) -> list[SegmentSearchOutput]:
-        """Fused multi-query :meth:`search_segment` (explicit-``ef`` serving).
-
-        Replicates the per-query path's semantics *exactly* — same
-        brute-force-vs-HNSW flip, same overlay handling, same tie-breaks —
-        but shares the per-segment work across the batch: one MVCC view
-        resolution, one snapshot-kernel gather for brute-force scans, and
-        lockstep-beam :meth:`~repro.index.hnsw.HNSWIndex.topk_search_multi`
-        HNSW traversal.  Every distance is produced by the same kernel calls
-        as the solo path, so results are identical (not merely close) to
-        running :meth:`search_segment` per query.  Unfiltered only, like
-        :meth:`search_segment_batch`.
-        """
-        fault_hook = self.fault_hook
-        if fault_hook is not None:
-            fault_hook(seg_no)  # may raise FaultInjectionError (chaos tests)
-        access_hook = self.access_hook
-        if access_hook is not None:
-            access_hook(seg_no)  # tier-manager heat accounting
-        queries = np.asarray(queries, dtype=np.float32)
-        metric = self.embedding.metric
-        snap, overlay_last, allowed = self._segment_view(seg_no, snapshot_tid, None)
-
-        threshold = self.bf_threshold
-        valid_count = int(np.count_nonzero(allowed))
-        num_queries = queries.shape[0]
-        per_query: list[list[tuple[float, int]]] = [[] for _ in range(num_queries)]
-
-        used_bruteforce = False
-        if valid_count > 0:
-            if snap.pq is not None:
-                # Cold segment: each query runs the same two-phase
-                # evaluation as the solo path, so fused == per-query.
-                get_telemetry().inc("tier.cold_hits")
-                used_bruteforce = True
-                for qi in range(num_queries):
-                    per_query[qi].extend(self._cold_topk(snap, queries[qi], k, allowed))
-            elif valid_count < threshold:
-                used_bruteforce = True
-                offsets = np.flatnonzero(allowed)
-                kernel = snap.kernel(metric)
-                top = min(k, offsets.size)
-                for qi in range(num_queries):
-                    dists = kernel.distances(kernel.query(queries[qi]), offsets)
-                    part = np.argpartition(dists, top - 1)[:top]
-                    per_query[qi].extend(
-                        (float(dists[i]), int(offsets[i])) for i in part
-                    )
+            fresh_vectors = np.stack(
+                [overlay_last[off].vector for off in fresh_offsets]
+            ).astype(np.float32)
+            okernel = DistanceKernel.for_matrix(fresh_vectors, metric)
+            count = len(fresh_offsets)
+            if scan:
+                rows = okernel.distances_multi_prefix(okernel.queries(queries), count)
             else:
-                mask = allowed
+                rows = [okernel.distances_prefix(okernel.query(q), count) for q in queries]
+            for results, dists in zip(per_query, rows):
+                results.extend((float(d), int(o)) for d, o in zip(dists, fresh_offsets))
 
-                def filter_fn(offset: int) -> bool:
-                    return bool(mask[offset])
-
-                for qi, found in enumerate(
-                    snap.index.topk_search_multi(queries, k, ef=ef, filter_fn=filter_fn)
-                ):
-                    per_query[qi].extend((float(d), int(o)) for o, d in found)
-
-        fresh_offsets = [
-            off for off, record in overlay_last.items() if record.action == UPSERT
-        ]
-        if fresh_offsets:
-            okernel = self._overlay_kernel(overlay_last, fresh_offsets, metric)
-            for qi in range(num_queries):
-                dists = okernel.distances_prefix(
-                    okernel.query(queries[qi]), len(fresh_offsets)
-                )
-                per_query[qi].extend(
-                    (float(d), int(o)) for d, o in zip(dists, fresh_offsets)
-                )
-
-        outputs: list[SegmentSearchOutput] = []
+        outputs = []
         for results in per_query:
             results.sort()
-            results = results[:k]
+            del results[k:]
             outputs.append(
                 SegmentSearchOutput(
                     seg_no,
                     offsets=[o for _, o in results],
                     distances=[d for d, _ in results],
                     used_bruteforce=used_bruteforce,
-                )
-            )
-        return outputs
-
-    def search_segment_batch(
-        self,
-        seg_no: int,
-        queries: np.ndarray,
-        k: int,
-        snapshot_tid: int,
-    ) -> list[SegmentSearchOutput]:
-        """Fused multi-query top-k on one segment (serving micro-batch path).
-
-        All Q queries share a single pass over the segment's valid snapshot
-        vectors (one :func:`batch_distances_multi` matmul) plus one pass over
-        the delta overlay, instead of Q separate HNSW traversals.  Exact
-        brute force, so every per-query result is at least as good as the
-        per-query HNSW path.  Unfiltered only — the micro-batcher never
-        fuses filtered requests.
-        """
-        fault_hook = self.fault_hook
-        if fault_hook is not None:
-            fault_hook(seg_no)  # may raise FaultInjectionError (chaos tests)
-        access_hook = self.access_hook
-        if access_hook is not None:
-            access_hook(seg_no)  # tier-manager heat accounting
-        queries = np.asarray(queries, dtype=np.float32)
-        metric = self.embedding.metric
-        snap, overlay_last, allowed = self._segment_view(seg_no, snapshot_tid, None)
-
-        if snap.pq is not None:
-            return self._batch_cold(seg_no, snap, queries, k, overlay_last, allowed)
-
-        dist_blocks: list[np.ndarray] = []
-        offset_blocks: list[np.ndarray] = []
-        offsets = np.flatnonzero(allowed)
-        if offsets.size:
-            kernel = snap.kernel(metric)
-            dist_blocks.append(kernel.distances_multi(kernel.queries(queries), offsets))
-            offset_blocks.append(offsets)
-        fresh_offsets = [
-            off for off, record in overlay_last.items() if record.action == UPSERT
-        ]
-        if fresh_offsets:
-            okernel = self._overlay_kernel(overlay_last, fresh_offsets, metric)
-            dist_blocks.append(
-                okernel.distances_multi_prefix(okernel.queries(queries), len(fresh_offsets))
-            )
-            offset_blocks.append(np.asarray(fresh_offsets, dtype=np.int64))
-
-        num_queries = queries.shape[0]
-        if not dist_blocks:
-            return [
-                SegmentSearchOutput(seg_no, offsets=[], distances=[], used_bruteforce=True)
-                for _ in range(num_queries)
-            ]
-
-        dists = dist_blocks[0] if len(dist_blocks) == 1 else np.concatenate(dist_blocks, axis=1)
-        cand_offsets = (
-            offset_blocks[0] if len(offset_blocks) == 1 else np.concatenate(offset_blocks)
-        )
-        top = min(k, cand_offsets.size)
-        outputs: list[SegmentSearchOutput] = []
-        for qi in range(num_queries):
-            row = dists[qi]
-            if top < cand_offsets.size:
-                part = np.argpartition(row, top - 1)[:top]
-            else:
-                part = np.arange(cand_offsets.size)
-            # Sort (distance, offset) pairs so ties break by offset exactly
-            # like the per-query path's ``results.sort()``.
-            pairs = sorted(
-                (float(row[i]), int(cand_offsets[i])) for i in part
-            )
-            outputs.append(
-                SegmentSearchOutput(
-                    seg_no,
-                    offsets=[o for _, o in pairs],
-                    distances=[d for d, _ in pairs],
-                    used_bruteforce=True,
-                )
-            )
-        return outputs
-
-    def _batch_cold(
-        self,
-        seg_no: int,
-        snap: "SegmentSnapshot",
-        queries: np.ndarray,
-        k: int,
-        overlay_last: dict[int, DeltaRecord],
-        allowed: np.ndarray,
-    ) -> list[SegmentSearchOutput]:
-        """Micro-batch path over a cold segment.
-
-        The snapshot part is the two-phase (ADC → rerank) evaluation the
-        per-query path runs — never an exact full scan, which would
-        materialize the cold rows — and the overlay part is the usual raw
-        brute force; results therefore match :meth:`search_segment` on the
-        same view, including the sorted (distance, offset) tie-break.
-        """
-        get_telemetry().inc("tier.cold_hits")
-        metric = self.embedding.metric
-        fresh_offsets = [
-            off for off, record in overlay_last.items() if record.action == UPSERT
-        ]
-        okernel = (
-            self._overlay_kernel(overlay_last, fresh_offsets, metric)
-            if fresh_offsets
-            else None
-        )
-        outputs: list[SegmentSearchOutput] = []
-        for qi in range(queries.shape[0]):
-            pairs = self._cold_topk(snap, queries[qi], k, allowed)
-            if okernel is not None:
-                dists = okernel.distances_prefix(
-                    okernel.query(queries[qi]), len(fresh_offsets)
-                )
-                pairs.extend((float(d), int(o)) for d, o in zip(dists, fresh_offsets))
-            pairs.sort()
-            pairs = pairs[:k]
-            outputs.append(
-                SegmentSearchOutput(
-                    seg_no,
-                    offsets=[o for _, o in pairs],
-                    distances=[d for d, _ in pairs],
-                    used_bruteforce=True,
                 )
             )
         return outputs

@@ -41,9 +41,11 @@ shipped vector (plus the group tuple), so no replica can serve a cached
 partial staler than the router's observation, and fills are gated by
 the router's commit-race verdict exactly like the single-server path.
 ``max_staleness`` / ``session_token`` contracts are enforced *at the
-router* with the same pin/validate/wait loop as
-:meth:`QueryServer._execute_sla`, so an SLA answer is never silently
-stale regardless of which replicas served the partials.
+router* by the same :func:`~repro.serve.freshness.pin_fresh` the
+single-server path uses; validating *before* fan-out means the verdict
+holds for the one shipped snapshot every replica executes on, so an SLA
+answer is never silently stale regardless of which replicas served the
+partials.
 """
 
 from __future__ import annotations
@@ -51,20 +53,14 @@ from __future__ import annotations
 import threading
 import time
 
-from ..core.search import (
-    VectorSearchOptions,
-    build_topk_vertex_set,
-    merge_sharded_topk,
-)
-from ..core.service import EmbeddingStore
+from ..core.search import build_topk_vertex_set, merge_sharded_topk
 from ..errors import (
     AdmissionRejectedError,
     ElasticError,
-    ReproError,
     SegmentOwnershipError,
     ServeError,
-    StalenessBoundError,
 )
+from ..serve.freshness import pin_fresh
 from ..serve.server import ServeConfig
 from ..telemetry import get_telemetry
 from .autoscale import Autoscaler, AutoscalePolicy
@@ -78,9 +74,6 @@ __all__ = ["ElasticTier"]
 #: membership events; six rounds is far beyond any schedule the chaos
 #: matrix produces while still bounding a pathological flap.
 _MAX_ROUTE_ROUNDS = 6
-
-#: Snapshot re-pin cadence for the router-level SLA wait loop.
-_SLA_RETRY_SLEEP = 0.0005
 
 #: Gate re-check cadence while a key drains (the rebalancer notifies the
 #: condition on completion; the timeout only bounds lost-wakeup risk).
@@ -188,15 +181,6 @@ class ElasticTier:
         ]
 
     # --------------------------------------------------------------- routing
-    def _watermarks(self, vector_attributes) -> tuple:
-        schema = self.db.schema
-        marks = []
-        for qualified in vector_attributes:
-            vertex_type, _ = schema.embedding_attribute(qualified)
-            store = self.db.service.store(vertex_type, qualified.split(".", 1)[1])
-            marks.append(store.watermark())
-        return tuple(marks)
-
     def group_universe(self, vector_attributes) -> list[int]:
         """Every group id a query over these attributes can touch."""
         schema = self.db.schema
@@ -373,28 +357,17 @@ class ElasticTier:
         deadline = None if timeout is None else submitted_at + timeout
         if max_staleness is None:
             max_staleness = self.config.default_max_staleness
-        if max_staleness is not None or session_token is not None:
-            return self._search_sla(
-                attrs,
-                query_vector,
-                k,
-                tenant=tenant,
-                ef=ef,
-                filter=filter,
-                distance_map=distance_map,
-                deadline=deadline,
-                max_staleness=max_staleness,
-                session_token=session_token,
-                groups=groups,
-                submitted_at=submitted_at,
-            )
-        watermarks = self._watermarks(attrs)
-        with self.db.snapshot() as snapshot:
-            cache_ok = all(
-                EmbeddingStore.watermark_tid(mark) <= snapshot.tid
-                for mark in watermarks
-            )
-            if not cache_ok:
+        limit = submitted_at + self.config.staleness_wait
+        if deadline is not None:
+            limit = min(limit, deadline)
+        with pin_fresh(
+            self.db,
+            attrs,
+            max_staleness=max_staleness,
+            session_token=session_token,
+            limit=limit,
+        ) as (snapshot, marks, lag):
+            if lag:
                 tel.inc("elastic.cache_coherence_bypass")
             parts = self._routed_parts(
                 attrs,
@@ -404,89 +377,13 @@ class ElasticTier:
                 ef=ef,
                 filter=filter,
                 snapshot=snapshot,
-                watermarks=watermarks,
-                cache_ok=cache_ok,
+                watermarks=marks,
+                cache_ok=lag == 0,
                 groups=groups,
                 deadline=deadline,
             )
         merged = merge_sharded_topk(parts, int(k))
         return build_topk_vertex_set(merged, distance_map)
-
-    def _search_sla(
-        self,
-        attrs,
-        query_vector,
-        k: int,
-        *,
-        tenant: str,
-        ef,
-        filter,
-        distance_map,
-        deadline,
-        max_staleness,
-        session_token,
-        groups,
-        submitted_at,
-    ):
-        """Router-level freshness contract: fresh across every replica, or typed.
-
-        Mirrors :meth:`QueryServer._execute_sla`; validating *before*
-        fan-out means the verdict holds for the one shipped snapshot all
-        replicas execute on, which is what makes the contract
-        cross-replica.
-        """
-        tel = get_telemetry()
-        limit = submitted_at + self.config.staleness_wait
-        if deadline is not None:
-            limit = min(limit, deadline)
-        while True:
-            marks = self._watermarks(attrs)
-            with self.db.snapshot() as snapshot:
-                lag = EmbeddingStore.watermark_lag(marks, snapshot.tid)
-                stale = max_staleness is not None and lag > max_staleness
-                behind = session_token is not None and snapshot.tid < session_token
-                if not stale and not behind:
-                    cache_ok = lag == 0
-                    if not cache_ok:
-                        tel.inc("elastic.cache_coherence_bypass")
-                    parts = self._routed_parts(
-                        attrs,
-                        query_vector,
-                        k,
-                        tenant=tenant,
-                        ef=ef,
-                        filter=filter,
-                        snapshot=snapshot,
-                        watermarks=marks,
-                        cache_ok=cache_ok,
-                        groups=groups,
-                        deadline=deadline,
-                    )
-                    merged = merge_sharded_topk(parts, int(k))
-                    return build_topk_vertex_set(merged, distance_map)
-            now = time.monotonic()
-            if now >= limit:
-                waited = now - submitted_at
-                if behind:
-                    tel.inc("serve.session_token_rejections")
-                    raise StalenessBoundError(
-                        f"no snapshot covering session token {session_token} "
-                        f"within {waited:.3f}s",
-                        session_token=session_token,
-                        waited=waited,
-                    )
-                tel.inc("serve.staleness_rejections")
-                raise StalenessBoundError(
-                    f"snapshot lag {lag} exceeds max_staleness {max_staleness} "
-                    f"after {waited:.3f}s",
-                    max_staleness=max_staleness,
-                    lag=lag,
-                    waited=waited,
-                )
-            tel.inc(
-                "serve.session_token_waits" if behind else "serve.staleness_waits"
-            )
-            time.sleep(min(_SLA_RETRY_SLEEP, limit - now))
 
     # ------------------------------------------------------------- rebalance
     def rebalance(self, tenant: str, group: int, to_server: str) -> dict | None:

@@ -58,7 +58,7 @@ class ShardRequest(QueryRequest):
     """One routed sub-request: a partial search over owned groups.
 
     ``kind="shard"`` keeps the base dispatch honest: ``batch_key()``
-    returns ``None`` (partials never fuse — each carries its own group
+    returns ``None`` (partials never batch — each carries its own group
     set and shipped snapshot) and ``cacheable`` is ``False`` for the
     *whole-query* cache; the shard maintains its own partial-entry
     discipline in :meth:`ShardServer._execute_shard`.
@@ -176,7 +176,7 @@ class ShardServer(QueryServer):
     # -------------------------------------------------------------- dispatch
     def _execute_batch(self, batch: list) -> None:
         if batch and getattr(batch[0], "kind", None) == "shard":
-            # Shard partials never fuse (batch_key None -> singleton
+            # Shard partials never batch (batch_key None -> singleton
             # batches), but keep the loop defensive like the base class.
             try:
                 for request in self._shed_expired(batch):
@@ -252,7 +252,7 @@ class ShardServer(QueryServer):
             return
         value = tuple(parts)
         if key is not None:
-            evicted = self.cache.put(tenant, key, value, kernel="shard")
+            evicted = self.cache.put(tenant, key, value)
             if evicted:
                 tel.inc("serve.cache_evictions", evicted)
         self._finish(request, value=value)

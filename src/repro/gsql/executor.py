@@ -26,7 +26,12 @@ from typing import Any
 import numpy as np
 
 from ..core.action import EmbeddingAction
-from ..core.search import VectorSearchOptions, vector_search
+from ..core.search import (
+    VectorSearchOptions,
+    filter_bitmaps,
+    merge_attribute_topk,
+    vector_search,
+)
 from ..errors import GSQLSemanticError
 from ..graph.accumulators import (
     Accumulator,
@@ -44,7 +49,6 @@ from ..graph.pattern import (
 )
 from ..graph.vertex import Vertex
 from ..graph.vertex_set import RankedVertexSet, VertexSet
-from ..index.bitmap import Bitmap
 from ..telemetry import get_telemetry
 from ..types import distance as metric_distance
 from . import ast_nodes as ast
@@ -391,12 +395,6 @@ def _run_accums(
             vmap.for_vertex(env[target.alias]).accum(value)
 
 
-def _bitmaps_for(ctx: ExecutionContext, vertex_type: str, candidates: VertexSet):
-    vids = candidates.vids_of_type(vertex_type)
-    masks = ctx.snapshot.bitmap_from_vids(vertex_type, vids)
-    return [Bitmap.wrap(mask) for mask in masks], len(vids)
-
-
 def execute_select(block: ast.SelectBlock, ctx: ExecutionContext) -> Any:
     """Execute one SELECT block; returns a VertexSet / ranked set / table."""
     tel = get_telemetry()
@@ -451,28 +449,26 @@ def _exec_vector_topk(
             if vec.attr in ctx.db.schema.vertex_type(t).embeddings
         )
     start = time.perf_counter()
-    merged: list[tuple[float, tuple[str, int]]] = []
+    parts = []
     stats = None
     for vertex_type in target_types:
         store = ctx.db.service.store(vertex_type, vec.attr)
         bitmaps = None
         if candidates is not None:
-            bitmaps, valid = _bitmaps_for(ctx, vertex_type, candidates)
-            if valid == 0:
+            bitmaps = filter_bitmaps(ctx.snapshot, vertex_type, candidates)
+            if not bitmaps:
                 continue
         action = EmbeddingAction(store)
         result = action.topk(
             query, k, snapshot_tid=ctx.snapshot.tid, ef=ctx.default_ef, bitmaps=bitmaps
         )
         stats = action.last_stats
-        merged.extend(
-            (float(dist), (vertex_type, int(vid))) for vid, dist in result
-        )
-    merged.sort(key=lambda e: e[0])
+        parts.append((vertex_type, zip(result.distances, result.ids)))
+    top = merge_attribute_topk(parts, k)
     ctx.metrics["vector_seconds"] = time.perf_counter() - start
     if stats is not None:
         ctx.metrics["action_stats"] = stats
-    ranking = [(member, dist) for dist, member in merged[:k]]
+    ranking = [((vertex_type, vid), dist) for dist, vertex_type, vid in top]
     out = RankedVertexSet(ranking, name="TopK")
     for member, _ in ranking:
         _run_accums(info.block.accum, ctx, {vec.alias: member})
@@ -494,8 +490,8 @@ def _exec_vector_range(info: SelectInfo, ctx: ExecutionContext) -> RankedVertexS
     if needs_filter:
         candidates = _candidate_set(info, ctx, vec.alias)
         ctx.metrics["num_candidates"] = len(candidates)
-        bitmaps, valid = _bitmaps_for(ctx, vertex_type, candidates)
-        if valid == 0:
+        bitmaps = filter_bitmaps(ctx.snapshot, vertex_type, candidates)
+        if not bitmaps:
             return RankedVertexSet([], name="Range")
     action = EmbeddingAction(store)
     start = time.perf_counter()

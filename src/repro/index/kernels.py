@@ -174,12 +174,11 @@ class DistanceKernel:
         return QueryContext(query, 0.0, query, aug_query)
 
     def queries(self, queries: np.ndarray) -> MultiQueryContext:
-        """Stacked contexts for a (Q, d) query matrix (fused paths).
+        """Stacked contexts for a (Q, d) query matrix (batch scans).
 
         Each context is built through the same scalar :meth:`query` path a
         solo search uses (not a row-wise einsum), so its ``q_sq`` / augmented
-        query are bit-identical to the per-query values — the fused HNSW
-        traversal needs that for result identity with solo searches.
+        query are bit-identical to the per-query values.
         """
         queries = np.ascontiguousarray(queries, dtype=np.float32)
         if queries.ndim != 2:
@@ -194,8 +193,7 @@ class DistanceKernel:
 
     # ------------------------------------------------------ rank distances
     def block(self, rows) -> np.ndarray:
-        """Gather augmented rows (one shared gather for fused lockstep
-        traversals; see :meth:`rank_from_block`)."""
+        """Gather augmented rows (see :meth:`rank_from_block`)."""
         return self._aug.take(rows, axis=0)
 
     def rank(self, ctx: QueryContext, rows) -> np.ndarray:
@@ -209,8 +207,7 @@ class DistanceKernel:
 
         ``block`` must be ``self.block(rows)`` or a contiguous slice of a
         concatenated gather; the matvec is then bit-identical to
-        :meth:`rank` on the same rows — the fused traversal relies on that
-        for result identity with the per-query path.
+        :meth:`rank` on the same rows.
         """
         ctx.num_distances += block.shape[0]
         return block @ ctx.aug_query

@@ -22,10 +22,10 @@ Distance semantics mirror the float kernels exactly:
 
 Because :class:`PQKernel` subclasses :class:`DistanceKernel` and preserves
 the full contract — ``query``/``queries`` contexts, ``block`` +
-``rank_from_block`` for fused lockstep traversal, ``distances_multi`` for
-the serving micro-batcher, ``pairwise``/``cross`` for neighbour selection
-and k-means — every consumer (brute-force scans, IVF probes, delta
-overlays, fused multi-query batches) runs over codes without modification.
+``rank_from_block`` over a pre-gathered block, ``distances_multi`` for
+batch scans, ``pairwise``/``cross`` for neighbour selection and k-means —
+every consumer (brute-force scans, IVF probes, delta overlays) runs over
+codes without modification.
 
 Scalar quantization is the degenerate case ``m == dim`` with affine
 single-dimension codebooks (``lo[j] + scale[j]·c``), which is how
@@ -344,7 +344,7 @@ class PQKernel(DistanceKernel):
         return ctx.aug_query[flat].sum(axis=1, dtype=np.float32)
 
     def block(self, rows) -> np.ndarray:
-        """Gather code rows (the fused traversal's shared gather)."""
+        """Gather code rows (see :meth:`rank_from_block`)."""
         return self._codes.take(rows, axis=0)
 
     def rank(self, ctx: QueryContext, rows) -> np.ndarray:

@@ -1,23 +1,21 @@
 """Dynamic micro-batching: coalesce compatible requests into one scan.
 
 After a worker dequeues a batchable request (the *leader*), it keeps
-draining queue fronts with the same batch key — identical attribute set,
-k, and ef; no filter; full-access tenant — until the batch is full or the
-collection window closes.  The window only costs latency when there is
-something to wait for: an already-full queue batches instantly, and a
-lone request on an idle server waits at most ``window_seconds``.
+draining queue fronts with the same batch key — identical attribute set
+and k; default ef; no filter; full-access tenant — until the batch is
+full or the collection window closes.  The window only costs latency
+when there is something to wait for: an already-full queue batches
+instantly, and a lone leader facing an empty queue returns at once (no
+rider is queued, and in a closed loop none can come while it waits).
 Re-scans are driven by the queue's put counter, so fronts are only
 re-examined after a *new arrival* — a queue holding only incompatible
 requests parks the worker in one blocking wait instead of spinning
 drain/check cycles for the rest of the window.
 
-The fused batch then runs through
-:func:`repro.core.search.vector_search_batch`, which visits each segment
-once for all queries: default-``ef`` batches use the exact batch scan
-(recall never drops below the per-query HNSW path), explicit-``ef``
-batches use the lockstep fused HNSW kernel (results identical to the
-per-query path); batches below the server's ``min_fused`` execute
-per-query anyway.
+The batch then runs through :func:`repro.core.search.vector_search_batch`,
+which visits each segment once for all queries with the exact batch scan
+(recall never drops below the per-query HNSW path); batches below
+:data:`~repro.core.service.MIN_FUSED` execute per-query.
 """
 
 from __future__ import annotations
@@ -67,6 +65,8 @@ class MicroBatcher:
             batch.extend(matched)
             if len(batch) >= self.max_batch:
                 break
+            if len(batch) == 1 and self.queue.depth() == 0:
+                break  # nothing queued to ride along: skip the window
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break

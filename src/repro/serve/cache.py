@@ -28,13 +28,7 @@ was computed on a snapshot at least as new as every TID in its key.
 
 Values are the sorted ``(distance, vertex_type, vid)`` triples from
 :func:`repro.core.search.vector_search_merged` — immutable, and carrying
-the distances needed to re-fill a caller's distance map on a hit.  Each
-entry records the *kernel* that produced it: ``"hnsw"`` per-query,
-``"fused"`` exact batch scan (default-``ef`` batches; never worse than the
-per-query HNSW answer, distances equal up to BLAS reduction order in the
-last ulp), or ``"fused-hnsw"`` lockstep fused HNSW traversal
-(explicit-``ef`` batches; identical results to the per-query path, every
-distance produced by the same kernel calls).
+the distances needed to re-fill a caller's distance map on a hit.
 
 The cache is a lock leaf: methods never call into the engine or telemetry
 while holding the lock; :meth:`put` returns the eviction count so the
@@ -114,13 +108,8 @@ class ResultCache:
             self._hits += 1
             return entry[0]
 
-    def put(self, key: tuple, value: tuple, kernel: str = "hnsw") -> int:
-        """Insert (or refresh) an entry; returns how many LRU evictions ran.
-
-        ``kernel`` records which execution path produced the value (see the
-        module docstring) for introspection via :meth:`kernel` and
-        :meth:`stats`.
-        """
+    def put(self, key: tuple, value: tuple) -> int:
+        """Insert (or refresh) an entry; returns how many LRU evictions ran."""
         nbytes = self._estimate(key, value)
         schedule_point("serve.cache.put")
         evicted = 0
@@ -128,22 +117,16 @@ class ResultCache:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= old[1]
-            self._entries[key] = (value, nbytes, kernel)
+            self._entries[key] = (value, nbytes)
             self._bytes += nbytes
             while self._entries and (
                 self._bytes > self.max_bytes or len(self._entries) > self.max_entries
             ):
-                _, (_, dropped, _) = self._entries.popitem(last=False)
+                _, (_, dropped) = self._entries.popitem(last=False)
                 self._bytes -= dropped
                 evicted += 1
             self._evictions += evicted
         return evicted
-
-    def kernel(self, key: tuple) -> str | None:
-        """Which kernel produced the entry (no LRU/stat effects); None if absent."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return None if entry is None else entry[2]
 
     def clear(self) -> None:
         with self._lock:
@@ -157,9 +140,6 @@ class ResultCache:
     def stats(self) -> dict:
         with self._lock:
             lookups = self._hits + self._misses
-            kernels: dict[str, int] = {}
-            for _, _, kernel in self._entries.values():
-                kernels[kernel] = kernels.get(kernel, 0) + 1
             return {
                 "entries": len(self._entries),
                 "bytes": self._bytes,
@@ -167,7 +147,6 @@ class ResultCache:
                 "misses": self._misses,
                 "evictions": self._evictions,
                 "hit_ratio": (self._hits / lookups) if lookups else 0.0,
-                "kernels": kernels,
             }
 
 
@@ -228,11 +207,8 @@ class ServeResultCache:
     def get(self, tenant_name: str, key: tuple):
         return self.partition(tenant_name).get(key)
 
-    def put(self, tenant_name: str, key: tuple, value: tuple, kernel: str = "hnsw") -> int:
-        return self.partition(tenant_name).put(key, value, kernel=kernel)
-
-    def kernel(self, tenant_name: str, key: tuple) -> str | None:
-        return self.partition(tenant_name).kernel(key)
+    def put(self, tenant_name: str, key: tuple, value: tuple) -> int:
+        return self.partition(tenant_name).put(key, value)
 
     def clear(self) -> None:
         with self._lock:
@@ -261,14 +237,10 @@ class ServeResultCache:
             "misses": 0,
             "evictions": 0,
         }
-        kernels: dict[str, int] = {}
         for stats in per_tenant.values():
             for field in total:
                 total[field] += stats[field]
-            for kernel, count in stats["kernels"].items():
-                kernels[kernel] = kernels.get(kernel, 0) + count
         lookups = total["hits"] + total["misses"]
         total["hit_ratio"] = (total["hits"] / lookups) if lookups else 0.0
-        total["kernels"] = kernels
         total["per_tenant"] = per_tenant
         return total

@@ -6,8 +6,9 @@ Request lifecycle::
            -> weighted-fair queue                           [per-tenant]
            -> worker dequeue -> deadline check              [typed timeout]
            -> micro-batch collection (batcher.py)
+           -> freshness-checked snapshot pin (freshness.py)
            -> result cache lookup (cache.py, MVCC-watermark keys)
-           -> fused batch scan or per-query VectorSearch on one snapshot
+           -> batched or per-query VectorSearch on the pinned snapshot
            -> future completion + telemetry
 
 Correctness contracts:
@@ -21,20 +22,21 @@ Correctness contracts:
   completed — with a result, or with a typed :class:`ReproError`
   (``QueryTimeoutError`` for deadline misses, ``AdmissionRejectedError``
   with ``reason='shutdown'`` for requests drained at stop).
-- **Freshness**: cache keys embed store watermarks read *before* the
-  executing snapshot, and a result is only cached when the pinned
-  snapshot's TID covers every watermark component — a commit can publish
-  its watermark bump (embedding hook) before ``last_tid``, so a worker
-  may observe a post-commit watermark with a pre-commit snapshot; such
-  results are served but never cached (see cache.py for the full
-  interleaving analysis).
-- **SLA path**: requests carrying ``max_staleness`` (maximum tolerated
-  watermark-TID lag) or a read-your-writes ``session_token`` (a commit
-  TID the serving snapshot must cover) take a dedicated pin/validate/
-  re-pin loop: serve when the contract holds, wait (bounded by
-  ``staleness_wait`` and the request deadline) when it does not, and fail
-  with a typed :class:`~repro.errors.StalenessBoundError` when the budget
-  runs out.  An SLA response is therefore never silently stale.
+- **Freshness**: every vector batch pins its snapshot through
+  :func:`~repro.serve.freshness.pin_fresh`.  Cache keys embed store
+  watermarks read *before* that snapshot, and a result is only cached
+  when the snapshot's TID covers every watermark component (``lag ==
+  0``) — a commit can publish its watermark bump (embedding hook) before
+  ``last_tid``, so a worker may observe a post-commit watermark with a
+  pre-commit snapshot; such results are served but never cached (see
+  cache.py for the full interleaving analysis).
+- **SLA contracts**: requests carrying ``max_staleness`` (maximum
+  tolerated watermark-TID lag) or a read-your-writes ``session_token`` (a
+  commit TID the serving snapshot must cover) hand the contract to the
+  same pin: served when it holds, re-pinned (bounded by
+  ``staleness_wait`` and the request deadline) when it does not, and
+  failed with a typed :class:`~repro.errors.StalenessBoundError` when the
+  budget runs out.  An SLA response is therefore never silently stale.
 - **Tenant isolation**: the result cache is partitioned per tenant
   (:class:`~repro.serve.cache.ServeResultCache`) and tenants may carry a
   ``max_queue_share`` admission bound, so one tenant's flood can neither
@@ -43,8 +45,8 @@ Correctness contracts:
   attached, injected worker crashes re-queue the in-flight batch (bounded
   by the policy's ``max_attempts``) and respawn a replacement worker;
   injected stalls delay one batch while other workers drain the queue;
-  and a fused batch poisoned by injected segment faults degrades to
-  per-query execution instead of failing every rider.
+  and a batch poisoned by injected segment faults degrades to per-query
+  execution instead of failing every rider.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from ..core.search import (
     vector_search_batch,
     vector_search_merged,
 )
-from ..core.service import EmbeddingStore
+from ..core.service import MIN_FUSED
 from ..errors import (
     AdmissionRejectedError,
     FaultInjectionError,
@@ -69,13 +71,13 @@ from ..errors import (
     RateLimitedError,
     ReproError,
     ServeError,
-    StalenessBoundError,
 )
 from ..faults import FaultInjector, ResiliencePolicy
 from ..telemetry import get_telemetry
 from .admission import AdmissionController
 from .batcher import MicroBatcher
 from .cache import ResultCache, ServeResultCache
+from .freshness import pin_fresh
 from .tenancy import Tenant, TenantRegistry, WeightedFairQueue
 
 __all__ = ["QueryServer", "ServeConfig", "ServeFuture"]
@@ -90,7 +92,6 @@ class ServeConfig:
     enable_batching: bool = True
     batch_window_seconds: float = 0.002
     max_batch: int = 32
-    min_fused: int = 4  # below this, a batch falls back to per-query HNSW
     enable_cache: bool = True
     cache_max_bytes: int = 32 << 20
     cache_max_entries: int = 1024
@@ -188,35 +189,32 @@ class QueryRequest:
         return self.max_staleness is not None or self.session_token is not None
 
     def batch_key(self) -> tuple | None:
-        """Fusion compatibility key; None means unbatchable.
+        """Batch compatibility key; None means unbatchable.
 
         Filtered searches and tenants with restricted roles execute
         per-request (their validity masks differ per caller), and
-        SLA-bound requests execute per-request too (each needs its own
-        snapshot pin/validate/wait loop).  Everything else groups by
-        ``(attributes, k, ef)``: default-``ef`` batches run the exact
-        fused scan, and explicit-``ef`` batches run the lockstep fused
-        HNSW kernel (:meth:`HNSWIndex.topk_search_multi` via
-        :meth:`EmbeddingStore.search_segment_multi`), which honours the
-        requested accuracy contract and returns results identical to the
-        per-query path.
+        SLA-bound requests execute per-request too (each pins its own
+        snapshot against its own contract).  An explicit ``ef`` is an HNSW
+        accuracy contract that only the per-query path honours, so those
+        requests run alone too.  Default-``ef`` requests group by
+        ``(attributes, k)`` and share the exact batch scan.
         """
         if (
             self.kind != "vector"
             or self.filter is not None
             or self.tenant.role != "admin"
             or self.sla_bound
+            or self.ef is not None
         ):
             return None
-        return (self.vector_attributes, self.k, self.ef)
+        return (self.vector_attributes, self.k)
 
     @property
     def cacheable(self) -> bool:
-        """Cache eligibility; broader than fusion eligibility.
+        """Cache eligibility; broader than batch eligibility.
 
-        ``ef`` is part of both the fusion key and the cache key, so an
-        ``ef``-keyed entry is always produced at the requested accuracy —
-        by the per-query kernel or the result-identical fused HNSW kernel.
+        ``ef`` is part of the cache key, so an ``ef``-keyed entry is always
+        produced at the requested accuracy by the per-query path.
         """
         return (
             self.kind == "vector"
@@ -535,12 +533,6 @@ class QueryServer:
             if live[0].kind == "gsql":
                 for request in live:
                     self._execute_gsql(request)
-            elif live[0].sla_bound:
-                # SLA-bound requests never fuse (batch_key is None), so
-                # the batch is a singleton; each takes the dedicated
-                # pin/validate/wait loop.
-                for request in live:
-                    self._execute_sla(request)
             else:
                 self._execute_vector(live)
         except Exception as exc:
@@ -604,187 +596,73 @@ class QueryServer:
         self._finish(request, value=result)
 
     # --------------------------------------------------------------- vector
-    def _watermarks(self, vector_attributes: tuple[str, ...]) -> tuple:
-        schema = self.db.schema
-        marks = []
-        for qualified in vector_attributes:
-            vertex_type, _ = schema.embedding_attribute(qualified)
-            store = self.db.service.store(
-                vertex_type, qualified.split(".", 1)[1]
-            )
-            marks.append(store.watermark())
-        return tuple(marks)
-
     def _execute_vector(self, batch: list) -> None:
-        tel = get_telemetry()
-        cache = self.cache
-        watermarks = None
-        if cache is not None and any(r.cacheable for r in batch):
-            # Multi-request batches only form around a shared fusion key,
-            # so every member has the leader's attribute set (singleton
-            # batches trivially so) and one watermark tuple covers all.
-            # Read watermarks BEFORE taking the snapshot (see cache.py).
-            try:
-                watermarks = self._watermarks(batch[0].vector_attributes)
-            except ReproError as exc:
-                for request in batch:
-                    self._finish(request, error=exc)
-                return
+        """Pin one fresh snapshot for the batch, probe the cache, search.
 
-        pending: list[tuple[QueryRequest, tuple | None]] = []
-        for request in batch:
-            if watermarks is not None and request.cacheable:
-                key = ResultCache.key(
-                    request.vector_attributes,
-                    request.query,
-                    request.k,
-                    request.ef,
-                    watermarks,
-                )
-                hit = cache.get(request.tenant.name, key)
-                if hit is not None:
-                    tel.inc("serve.cache_hits")
-                    self._finish(
-                        request,
-                        value=build_topk_vertex_set(
-                            list(hit), request.distance_map
-                        ),
-                    )
-                    continue
-                tel.inc("serve.cache_misses")
-                pending.append((request, key))
-            else:
-                pending.append((request, None))
-        if not pending:
-            return
-
-        with self.db.snapshot() as snapshot:
-            if watermarks is not None and any(
-                EmbeddingStore.watermark_tid(mark) > snapshot.tid
-                for mark in watermarks
-            ):
-                # A commit published its watermark bump (the embedding hook
-                # runs inside the commit critical section) but not yet its
-                # last_tid, so the key describes state this snapshot cannot
-                # see.  Caching the result would serve a pre-commit top-k to
-                # every post-commit lookup; serve it uncached instead.
-                tel.inc("serve.cache_bypass_commit_race")
-                pending = [(request, None) for request, _ in pending]
-            fusable = [item for item in pending if item[0].batch_key() is not None]
-            singles = [item for item in pending if item[0].batch_key() is None]
-            if (
-                self.batcher is not None
-                and len(fusable) >= max(2, self.config.min_fused)
-            ):
-                self._execute_fused(fusable, snapshot)
-            else:
-                singles = fusable + singles
-            for request, key in singles:
-                self._execute_single(request, key, snapshot)
-
-    # ------------------------------------------------------------ SLA path
-    #: Snapshot re-pin cadence while waiting out a freshness violation.
-    _SLA_RETRY_SLEEP = 0.0005
-
-    def _execute_sla(self, request: QueryRequest) -> None:
-        """Serve one staleness-bounded / read-your-writes request.
-
-        Loop: read watermarks, pin a snapshot, validate the contract —
-        ``watermark_tid`` lag within ``max_staleness``, snapshot TID
-        covering ``session_token`` — then serve; otherwise release the
-        snapshot and re-pin until the wait budget (``staleness_wait``,
-        capped by the request deadline) runs out, at which point the
-        request fails with a typed :class:`StalenessBoundError`.  The
-        violation window is the mid-publication commit interleaving
-        (embedding hooks fired, ``last_tid`` unpublished), so waits are
-        normally a handful of re-pins.
+        Multi-request batches only form around a shared batch key, so
+        every member has the leader's attributes (singleton batches
+        trivially so) and one watermark tuple covers all; SLA-bound
+        requests never batch, so the leader's contract is the batch's.
         """
         tel = get_telemetry()
-        started = time.monotonic()
-        limit = started + self.config.staleness_wait
-        if request.deadline is not None:
-            limit = min(limit, request.deadline)
-        while True:
-            try:
-                marks = self._watermarks(request.vector_attributes)
-            except ReproError as exc:
-                self._finish(request, error=exc)
-                return
-            stale = behind = False
-            lag = 0
-            with self.db.snapshot() as snapshot:
-                lag = EmbeddingStore.watermark_lag(marks, snapshot.tid)
-                stale = (
-                    request.max_staleness is not None
-                    and lag > request.max_staleness
-                )
-                behind = (
-                    request.session_token is not None
-                    and snapshot.tid < request.session_token
-                )
-                if not stale and not behind:
+        leader = batch[0]
+        cache = self.cache if any(r.cacheable for r in batch) else None
+        attrs = leader.vector_attributes if cache is not None or leader.sla_bound else ()
+        limit = time.monotonic() + self.config.staleness_wait
+        if leader.deadline is not None:
+            limit = min(limit, leader.deadline)
+        try:
+            with pin_fresh(
+                self.db,
+                attrs,
+                max_staleness=leader.max_staleness,
+                session_token=leader.session_token,
+                limit=limit,
+            ) as (snapshot, marks, lag):
+                pending: list[tuple[QueryRequest, tuple | None]] = []
+                for request in batch:
                     key = None
-                    if request.cacheable and self.cache is not None:
-                        if lag == 0:
-                            # Same key discipline as the fast path: the
-                            # snapshot covers every watermark component, so
-                            # a hit is consistent and a fill is safe.
-                            key = ResultCache.key(
-                                request.vector_attributes,
-                                request.query,
-                                request.k,
-                                request.ef,
-                                marks,
+                    if cache is not None and request.cacheable:
+                        key = ResultCache.key(
+                            request.vector_attributes,
+                            request.query,
+                            request.k,
+                            request.ef,
+                            marks,
+                        )
+                        hit = cache.get(request.tenant.name, key)
+                        if hit is not None:
+                            tel.inc("serve.cache_hits")
+                            self._finish(
+                                request,
+                                value=build_topk_vertex_set(
+                                    list(hit), request.distance_map
+                                ),
                             )
-                            hit = self.cache.get(request.tenant.name, key)
-                            if hit is not None:
-                                tel.inc("serve.cache_hits")
-                                self._finish(
-                                    request,
-                                    value=build_topk_vertex_set(
-                                        list(hit), request.distance_map
-                                    ),
-                                )
-                                return
-                            tel.inc("serve.cache_misses")
-                        else:
-                            # Tolerated nonzero lag (max_staleness > 0 over
-                            # a mid-publication window): serve uncached,
-                            # exactly like the commit-race bypass.
-                            tel.inc("serve.cache_bypass_commit_race")
-                    self._execute_single(request, key, snapshot)
-                    return
-            now = time.monotonic()
-            if now >= limit:
-                waited = now - started
-                if behind:
-                    tel.inc("serve.session_token_rejections")
-                    self._finish(
-                        request,
-                        error=StalenessBoundError(
-                            f"no snapshot covering session token "
-                            f"{request.session_token} within {waited:.3f}s",
-                            session_token=request.session_token,
-                            waited=waited,
-                        ),
-                    )
+                            continue
+                        tel.inc("serve.cache_misses")
+                    pending.append((request, key))
+                if lag and cache is not None:
+                    # A commit published its watermark bump (the embedding
+                    # hook runs inside the commit critical section) but not
+                    # yet its last_tid, so the keys describe state this
+                    # snapshot cannot see.  Caching would serve a
+                    # pre-commit top-k to every post-commit lookup; serve
+                    # uncached instead.
+                    tel.inc("serve.cache_bypass_commit_race")
+                    pending = [(request, None) for request, _ in pending]
+                fusable = [item for item in pending if item[0].batch_key() is not None]
+                singles = [item for item in pending if item[0].batch_key() is None]
+                if self.batcher is not None and len(fusable) >= MIN_FUSED:
+                    self._execute_fused(fusable, snapshot)
                 else:
-                    tel.inc("serve.staleness_rejections")
-                    self._finish(
-                        request,
-                        error=StalenessBoundError(
-                            f"snapshot lag {lag} exceeds max_staleness "
-                            f"{request.max_staleness} after {waited:.3f}s",
-                            max_staleness=request.max_staleness,
-                            lag=lag,
-                            waited=waited,
-                        ),
-                    )
-                return
-            tel.inc(
-                "serve.session_token_waits" if behind else "serve.staleness_waits"
-            )
-            time.sleep(min(self._SLA_RETRY_SLEEP, limit - now))
+                    singles = fusable + singles
+                for request, key in singles:
+                    self._execute_single(request, key, snapshot)
+        except ReproError as exc:
+            for request in batch:
+                if not request.future.done():
+                    self._finish(request, error=exc)
 
     def _execute_fused(self, fusable: list, snapshot) -> None:
         tel = get_telemetry()
@@ -799,8 +677,6 @@ class QueryServer:
                     list(leader.vector_attributes),
                     queries,
                     leader.k,
-                    ef=leader.ef,
-                    min_fused=2,  # the batcher already decided to fuse
                 )
             )
         except FaultInjectionError:
@@ -817,15 +693,10 @@ class QueryServer:
                 self._finish(request, error=exc)
             return
         tel.inc("serve.fused_queries", len(requests))
-        # Distinguish the two fused kernels in cache introspection: the
-        # exact batch scan vs the lockstep fused HNSW traversal.
-        kernel = "fused-hnsw" if leader.ef is not None else "fused"
         evictions = 0
         for (request, key), top in zip(fusable, tops):
             if key is not None and self.cache is not None:
-                evictions += self.cache.put(
-                    request.tenant.name, key, tuple(top), kernel=kernel
-                )
+                evictions += self.cache.put(request.tenant.name, key, tuple(top))
             self._finish(
                 request, value=build_topk_vertex_set(top, request.distance_map)
             )
@@ -867,9 +738,7 @@ class QueryServer:
             self._finish(request, error=exc)
             return
         if key is not None and self.cache is not None:
-            evicted = self.cache.put(
-                request.tenant.name, key, tuple(top), kernel="hnsw"
-            )
+            evicted = self.cache.put(request.tenant.name, key, tuple(top))
             if evicted:
                 tel.inc("serve.cache_evictions", evicted)
         self._finish(

@@ -22,6 +22,12 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClosedLoopLoadGenerator, ClusterSimulator, make_cluster
+from repro.core.search import (
+    VectorSearchOptions,
+    vector_search_batch,
+    vector_search_merged,
+)
+from repro.core.service import MIN_FUSED
 from repro.errors import (
     AdmissionRejectedError,
     GSQLSemanticError,
@@ -86,7 +92,6 @@ class TestByteIdentity:
             enable_batching=True,
             enable_cache=False,
             batch_window_seconds=0.02,
-            min_fused=2,
         )
         queries = rng.standard_normal((24, 16)).astype(np.float32)
         telemetry = Telemetry()
@@ -100,70 +105,71 @@ class TestByteIdentity:
         counters = telemetry.registry.snapshot()["counters"]
         assert counters.get("serve.fused_queries", 0) > 0
 
-    def test_explicit_ef_requests_fuse_identically(self, loaded_post_db, rng):
-        """An explicit ef is an HNSW accuracy contract; such requests fuse
-        through the lockstep topk_search_multi kernel, which honours ef and
-        must match the per-query path exactly (members AND distances).
-        Their cache entries are tagged with the producing fused-HNSW kernel.
-        """
+    def test_explicit_ef_requests_run_per_query(self, loaded_post_db, rng):
+        """An explicit ef is an HNSW accuracy contract that only the
+        per-query path honours, so such requests never batch, even when
+        submitted together, and match the direct path exactly (members AND
+        distances)."""
         db = loaded_post_db
         config = ServeConfig(
             workers=1,
             enable_batching=True,
             enable_cache=True,
             batch_window_seconds=0.02,
-            min_fused=2,
         )
         queries = rng.standard_normal((8, 16)).astype(np.float32)
+        maps = [MapAccum() for _ in queries]
         telemetry = Telemetry()
         with use_telemetry(telemetry), QueryServer(db, config) as server:
             futures = [
                 server.submit_search(
-                    ["Post.content_emb"], q, 5, ef=64, distance_map=MapAccum()
+                    ["Post.content_emb"], q, 5, ef=64, distance_map=dmap
                 )
-                for q in queries
+                for q, dmap in zip(queries, maps)
             ]
             results = [f.result(timeout=30) for f in futures]
-            stats = server.cache.stats()
-        for q, got in zip(queries, results):
-            dmap = MapAccum()
-            want = db.vector_search(["Post.content_emb"], q, 5, distance_map=dmap, ef=64)
-            assert members(got) == members(want)
+        for q, got, dmap in zip(queries, results, maps):
+            want = MapAccum()
+            db.vector_search(["Post.content_emb"], q, 5, distance_map=want, ef=64)
+            assert list(dmap.items()) == list(want.items())
         counters = telemetry.registry.snapshot()["counters"]
-        assert counters.get("serve.fused_queries", 0) > 0
-        assert stats["kernels"].get("fused-hnsw", 0) > 0
-        assert "hnsw" not in stats["kernels"] or stats["kernels"]["hnsw"] < len(queries)
+        assert counters.get("serve.fused_queries", 0) == 0
 
     def test_explicit_ef_fused_distances_match_per_query(self, loaded_post_db, rng):
         """db-level check of the same contract without serve-layer timing:
-        the fused explicit-ef batch equals running each query alone."""
+        an explicit-ef batch equals running each query alone."""
         db = loaded_post_db
         queries = rng.standard_normal((8, 16)).astype(np.float32)
-        fused = db.vector_search_batch(
-            ["Post.content_emb"], queries, 5, ef=64, min_fused=2
-        )
-        for q, got in zip(queries, fused):
-            dmap = MapAccum()
-            want = db.vector_search(["Post.content_emb"], q, 5, distance_map=dmap, ef=64)
-            assert members(got) == members(want)
+        with db.snapshot() as snap:
+            fused = vector_search_batch(
+                db.service, snap, ["Post.content_emb"], queries, 5, ef=64
+            )
+            for q, got in zip(queries, fused):
+                options = VectorSearchOptions(ef=64)
+                want = vector_search_merged(
+                    db.service, snap, ["Post.content_emb"], q, 5, options
+                )
+                assert got == want
 
     def test_db_vector_search_batch_equals_per_query(self, loaded_post_db, rng):
         db = loaded_post_db
         queries = rng.standard_normal((8, 16)).astype(np.float32)
-        fused = db.vector_search_batch(
-            ["Post.content_emb"], queries, 5, min_fused=2
-        )
+        fused = db.vector_search_batch(["Post.content_emb"], queries, 5)
         for q, got in zip(queries, fused):
             assert members(got) == members(db.vector_search(["Post.content_emb"], q, 5))
 
     def test_batch_below_min_fused_falls_back(self, loaded_post_db, rng):
         db = loaded_post_db
-        queries = rng.standard_normal((2, 16)).astype(np.float32)
-        fused = db.vector_search_batch(
-            ["Post.content_emb"], queries, 5, min_fused=4
-        )
-        for q, got in zip(queries, fused):
-            assert members(got) == members(db.vector_search(["Post.content_emb"], q, 5))
+        queries = rng.standard_normal((MIN_FUSED - 1, 16)).astype(np.float32)
+        with db.snapshot() as snap:
+            fused = vector_search_batch(
+                db.service, snap, ["Post.content_emb"], queries, 5
+            )
+            for q, got in zip(queries, fused):
+                want = vector_search_merged(
+                    db.service, snap, ["Post.content_emb"], q, 5
+                )
+                assert got == want
 
     def test_fused_matches_after_writes_and_vacuum(self, loaded_post_db, rng):
         db = loaded_post_db
@@ -174,11 +180,11 @@ class TestByteIdentity:
                     "Post", i, "content_emb", rng.standard_normal(16)
                 )
         queries = rng.standard_normal((6, 16)).astype(np.float32)
-        fused = db.vector_search_batch(["Post.content_emb"], queries, 7, min_fused=2)
+        fused = db.vector_search_batch(["Post.content_emb"], queries, 7)
         for q, got in zip(queries, fused):
             assert members(got) == members(db.vector_search(["Post.content_emb"], q, 7))
         db.vacuum()
-        fused = db.vector_search_batch(["Post.content_emb"], queries, 7, min_fused=2)
+        fused = db.vector_search_batch(["Post.content_emb"], queries, 7)
         for q, got in zip(queries, fused):
             assert members(got) == members(db.vector_search(["Post.content_emb"], q, 7))
 
@@ -252,26 +258,27 @@ class TestResultCache:
             stats = server.cache.stats()
         assert stats["hits"] == 0 and stats["misses"] == 0 and stats["entries"] == 0
 
-    def test_cache_records_producing_kernel(self, loaded_post_db, rng):
+    def test_batched_answers_fill_cache(self, loaded_post_db, rng):
         db = loaded_post_db
         config = ServeConfig(
             workers=1,
             enable_batching=True,
             enable_cache=True,
             batch_window_seconds=0.02,
-            min_fused=2,
         )
         queries = rng.standard_normal((12, 16)).astype(np.float32)
         with QueryServer(db, config) as server:
-            # Concurrent default-ef submissions fuse; entries tagged "fused".
+            # Concurrent default-ef submissions batch; every answer, batched
+            # or single, is cached and hit on repeat with the same members.
             futures = [
                 server.submit_search(["Post.content_emb"], q, 5) for q in queries
             ]
-            for f in futures:
-                assert f.exception(timeout=30) is None
-            kernels = server.cache.stats()["kernels"]
-        assert kernels.get("fused", 0) + kernels.get("hnsw", 0) == len(queries)
-        assert kernels.get("fused", 0) > 0
+            first = [f.result(timeout=30) for f in futures]
+            again = [server.search(["Post.content_emb"], q, 5) for q in queries]
+            stats = server.cache.stats()
+        assert [members(v) for v in again] == [members(v) for v in first]
+        assert stats["entries"] == len(queries)
+        assert stats["hits"] == len(queries)
 
     def test_lru_bounds(self):
         cache = ResultCache(max_bytes=1 << 20, max_entries=2)
@@ -356,17 +363,26 @@ class TestBatcherWindow:
         batcher = MicroBatcher(queue, window_seconds=5.0, max_batch=3)
         leader = _FakeRequest(("k",))
         followers = [_FakeRequest(("k",)) for _ in range(2)]
-        timers = [
-            threading.Timer(0.01 * (i + 1), lambda r=r: queue.put(r, "default"))
-            for i, r in enumerate(followers)
-        ]
-        for t in timers:
-            t.start()
+        # One rider is already queued, so the window opens; the other
+        # arrives while it is open.
+        queue.put(followers[0], "default")
+        timer = threading.Timer(0.01, lambda: queue.put(followers[1], "default"))
+        timer.start()
         start = time.monotonic()
         batch = batcher.collect(leader)
         elapsed = time.monotonic() - start
         assert batch == [leader, *followers]
         assert elapsed < 4.0, "a full batch must not wait out the window"
+        queue.close()
+
+    def test_lone_leader_skips_window_on_empty_queue(self):
+        queue = WeightedFairQueue(TenantRegistry())
+        batcher = MicroBatcher(queue, window_seconds=5.0, max_batch=4)
+        leader = _FakeRequest(("k",))
+        start = time.monotonic()
+        batch = batcher.collect(leader)
+        assert batch == [leader]
+        assert time.monotonic() - start < 1.0, "nothing queued: no window wait"
         queue.close()
 
 

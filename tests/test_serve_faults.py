@@ -124,7 +124,6 @@ class TestBatchPoison:
             enable_cache=False,
             batch_window_seconds=0.2,
             max_batch=8,
-            min_fused=2,
         )
         policy = ResiliencePolicy(max_attempts=1)  # no in-kernel retry
         queries = rng.standard_normal((4, DIM)).astype(np.float32)
@@ -153,7 +152,6 @@ class TestBatchPoison:
             enable_cache=False,
             batch_window_seconds=0.2,
             max_batch=8,
-            min_fused=2,
         )
         policy = ResiliencePolicy(max_attempts=3, backoff_base=0.0)
         queries = rng.standard_normal((4, DIM)).astype(np.float32)
@@ -189,7 +187,6 @@ class TestChaosSweep:
             enable_batching=True,
             enable_cache=True,
             batch_window_seconds=0.002,
-            min_fused=2,
         )
         policy = ResiliencePolicy(max_attempts=3, backoff_base=0.0)
         queries = rng.standard_normal((24, DIM)).astype(np.float32)
