@@ -12,8 +12,10 @@ explicitly marks "all deleted and **unauthorized** vectors as invalid"
   *authorization bitmaps* (one per segment) that the vector search
   intersects with its validity masks, so unauthorized vectors can never
   surface in results — the same mechanism that hides deleted rows;
-- :meth:`AccessController.authorized_search` is the drop-in authorized
-  variant of ``VectorSearch()``.
+- the role is one more bitmap source of the one VectorSearch routine
+  (:func:`repro.core.search.vector_search_sharded`), so the query server,
+  every elastic shard and :meth:`AccessController.authorized_search` (a
+  thin wrapper pinning its own snapshot) enforce it on the same path.
 
 Because both the graph side (scan filtering) and the vector side (bitmap
 intersection) derive from one rule set, authorization cannot diverge
@@ -27,9 +29,11 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from ..errors import ReproError
+from ..graph.accumulators import MapAccum
 from ..graph.txn import Snapshot
 from ..graph.vertex_set import VertexSet
 from ..index.bitmap import Bitmap
+from .search import VectorSearchOptions, build_topk_vertex_set, vector_search_merged
 
 __all__ = ["AccessController", "AuthorizationError", "Role"]
 
@@ -71,6 +75,31 @@ class Role:
             return False
         return bool(rule(row))
 
+    def search_masks(
+        self, snapshot: Snapshot, vertex_type: str
+    ) -> list[Bitmap] | None:
+        """Per-segment masks of the rows of ``vertex_type`` this role may read.
+
+        ``None`` when it may read them all (no mask needed: the search wraps
+        the status structure), ``[]`` when it may read none.  This is the
+        bitmap the one VectorSearch routine intersects with the query
+        filter (:func:`repro.core.search.vector_search_sharded`).
+        """
+        rule = self.rules.get(vertex_type, self.default_allow)
+        if rule is True:
+            return None
+        if rule is False:
+            return []
+        capacity = snapshot._store.segment_size
+        masks = [
+            np.zeros(capacity, dtype=bool)
+            for _ in range(snapshot.num_segments(vertex_type))
+        ]
+        for vid, row in snapshot.scan(vertex_type):
+            if rule(row):
+                masks[vid // capacity][vid % capacity] = True
+        return [Bitmap.wrap(mask) for mask in masks]
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Role({self.name!r}, types={sorted(self.rules)})"
 
@@ -109,26 +138,18 @@ class AccessController:
     ) -> list[Bitmap]:
         """Per-segment masks of the vertices this role may see.
 
-        This is the "unauthorized vectors are invalid" bitmap of Sec. 5.1;
-        the caller intersects it with any query filter before the vector
-        search, so one index call returns only authorized results.
+        This is the "unauthorized vectors are invalid" bitmap of Sec. 5.1
+        (:meth:`Role.search_masks`, with full access spelled out as the
+        status structure); it is empty when the role cannot read the type.
         """
         if isinstance(role, str):
             role = self.role(role)
-        capacity = snapshot._store.segment_size
-        num_segments = snapshot.num_segments(vertex_type)
-        if not role.can_access_type(vertex_type):
-            return [Bitmap.empty(capacity) for _ in range(num_segments)]
-        rule = role.rules.get(vertex_type, role.default_allow)
-        if rule is True:
+        masks = role.search_masks(snapshot, vertex_type)
+        if masks is None:
             # Full access: wrap the existing status structure, no new bitmap
             # (the Sec. 5.1 reuse optimization applies to authorization too).
             return [Bitmap.wrap(mask) for mask in snapshot.valid_bitmaps(vertex_type)]
-        masks = [np.zeros(capacity, dtype=bool) for _ in range(num_segments)]
-        for vid, row in snapshot.scan(vertex_type):
-            if role.allows(vertex_type, row):
-                masks[vid // capacity][vid % capacity] = True
-        return [Bitmap.wrap(mask) for mask in masks]
+        return masks
 
     # ------------------------------------------------------------ filtering
     def visible_vertices(
@@ -154,46 +175,25 @@ class AccessController:
         k: int,
         filter: VertexSet | None = None,
         ef: int | None = None,
+        distance_map: MapAccum | None = None,
     ) -> VertexSet:
         """VectorSearch() that can only return authorized vertices.
 
-        The role's authorization bitmap intersects the query's own filter
-        (if any); types the role cannot read are skipped entirely.
+        Runs the one VectorSearch routine on a fresh snapshot with the
+        role's bitmap intersected with the query's own filter (if any);
+        types the role cannot read contribute nothing.
         """
-        from .action import EmbeddingAction
-        from .embedding import check_compatible
-        from .search import filter_bitmaps, merge_attribute_topk
-        from ..errors import VectorSearchError
-
         if isinstance(role, str):
             role = self.role(role)
-        if k <= 0:
-            raise VectorSearchError("k must be positive")
-        schema = self.db.schema
-        resolved = []
-        for qualified in vector_attributes:
-            vertex_type, embedding = schema.embedding_attribute(qualified)
-            resolved.append((qualified, vertex_type, embedding))
-        check_compatible([(q, e) for q, _, e in resolved])
-        query = np.asarray(query_vector, dtype=np.float32).reshape(-1)
-
-        parts = []
+        options = VectorSearchOptions(filter=filter, ef=ef)
         with self.db.snapshot() as snapshot:
-            for qualified, vertex_type, _ in resolved:
-                if not role.can_access_type(vertex_type):
-                    continue
-                bitmaps = self.authorization_bitmaps(role, snapshot, vertex_type)
-                if filter is not None:
-                    user = filter_bitmaps(snapshot, vertex_type, filter)
-                    bitmaps = [a.intersect(u) for a, u in zip(bitmaps, user)]
-                store = self.db.service.store(
-                    vertex_type, qualified.split(".", 1)[1]
-                )
-                result = EmbeddingAction(store).topk(
-                    query, k, snapshot_tid=snapshot.tid, ef=ef, bitmaps=bitmaps
-                )
-                parts.append((vertex_type, zip(result.distances, result.ids)))
-        out = VertexSet(name=f"TopK[{role.name}]")
-        for _, vertex_type, vid in merge_attribute_topk(parts, k):
-            out.add(vertex_type, vid)
-        return out
+            top = vector_search_merged(
+                self.db.service,
+                snapshot,
+                vector_attributes,
+                query_vector,
+                k,
+                options,
+                role=role,
+            )
+        return build_topk_vertex_set(top, distance_map)

@@ -21,6 +21,7 @@ query composition (queries Q2–Q4 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,6 +34,9 @@ from ..telemetry import get_telemetry
 from .action import EmbeddingAction
 from .embedding import check_compatible
 from .service import EmbeddingService, merge_topk
+
+if TYPE_CHECKING:
+    from .auth import Role
 
 __all__ = [
     "VectorSearchOptions",
@@ -128,59 +132,6 @@ def build_topk_vertex_set(
     return out
 
 
-def _attribute_parts(
-    service: EmbeddingService,
-    snapshot: Snapshot,
-    resolved,
-    query: np.ndarray,
-    k: int,
-    options: VectorSearchOptions,
-    groups=None,
-    group_size: int = 1,
-) -> list[tuple[str, tuple[tuple[float, int], ...]]]:
-    """Each attribute's local top-k ``(distance, vid)`` pairs for one query.
-
-    ``groups`` restricts the search to segments whose group (``seg_no //
-    group_size``) it contains; ``None`` searches every segment.
-    """
-    tel = get_telemetry()
-    parts = []
-    for qualified, vertex_type, _ in resolved:
-        store = service.store(vertex_type, qualified.split(".", 1)[1])
-        bitmaps = None
-        if options.filter is not None:
-            bitmaps = filter_bitmaps(snapshot, vertex_type, options.filter)
-            if not bitmaps:
-                parts.append((vertex_type, ()))
-                continue
-        seg_nos = None
-        if groups is not None:
-            seg_nos = [
-                seg_no
-                for seg_no in range(store.num_segments)
-                if seg_no // group_size in groups
-            ]
-        with tel.span("vector.attribute", attribute=qualified):
-            result = EmbeddingAction(store).topk(
-                query,
-                k,
-                snapshot_tid=snapshot.tid,
-                ef=options.ef,
-                bitmaps=bitmaps,
-                seg_nos=seg_nos,
-            )
-        parts.append(
-            (
-                vertex_type,
-                tuple(
-                    (float(dist), int(vid))
-                    for vid, dist in zip(result.ids, result.distances)
-                ),
-            )
-        )
-    return parts
-
-
 def vector_search_merged(
     service: EmbeddingService,
     snapshot: Snapshot,
@@ -188,6 +139,7 @@ def vector_search_merged(
     query_vector: np.ndarray,
     k: int,
     options: VectorSearchOptions | None = None,
+    role: Role | None = None,
 ) -> list[tuple[float, str, int]]:
     """Global top-k as sorted ``(distance, vertex_type, vid)`` triples.
 
@@ -195,17 +147,9 @@ def vector_search_merged(
     layer caches these triples because, unlike a :class:`VertexSet`, they
     are immutable and carry the distances.
     """
-    if k <= 0:
-        raise VectorSearchError("k must be positive")
-    options = options or VectorSearchOptions()
-    resolved, representative = _resolve_attributes(service, vector_attributes)
-    query = _validate_query(query_vector, representative)
-
-    with get_telemetry().span(
-        "vector.search", k=k, attributes=list(vector_attributes)
-    ) as vspan:
-        parts = _attribute_parts(service, snapshot, resolved, query, k, options)
-        vspan.set(merged_candidates=sum(len(pairs) for _, pairs in parts))
+    parts = vector_search_sharded(
+        service, snapshot, vector_attributes, query_vector, k, options, role=role
+    )
     return merge_attribute_topk(parts, k)
 
 
@@ -218,22 +162,26 @@ def vector_search_sharded(
     options: VectorSearchOptions | None = None,
     groups: frozenset | set | None = None,
     group_size: int = 1,
+    role: Role | None = None,
+    stats: list | None = None,
 ) -> list[tuple[str, tuple[tuple[float, int], ...]]]:
-    """Per-attribute partial top-k over a subset of segment groups.
+    """Each attribute's local top-k ``(distance, vid)`` pairs for one query.
 
-    The shard-owner half of the elastic tier's search: each owning server
-    runs this over the segment ordinals whose group (``seg_no //
-    group_size``) it owns, and the router merges the partials with
-    :func:`merge_sharded_topk`.  Returns one ``(vertex_type, pairs)`` entry
-    per attribute in resolution order, where ``pairs`` are the attribute's
-    local top-k ``(distance, vid)`` tuples sorted exactly as
+    The one per-attribute top-k routine: every single-query search — the
+    direct call, the server, each elastic shard, GSQL's ``ORDER BY
+    VECTOR_DIST`` and :meth:`AccessController.authorized_search` — runs
+    this loop.  Returns one ``(vertex_type, pairs)`` entry per attribute in
+    resolution order, where ``pairs`` are sorted exactly as
     :meth:`EmbeddingAction.topk` sorts them (distance, then vid).
 
-    These are the very per-attribute lists :func:`vector_search_merged`
-    merges, so with ``groups=None`` the single-shard merge is
-    byte-identical to it, and with complementary group subsets
-    :func:`~repro.core.service.merge_topk` rebuilds each attribute's
-    whole-store top-k.
+    ``groups`` restricts the search to segments whose group (``seg_no //
+    group_size``) it contains — the shard-owner half of the elastic tier,
+    whose router merges the partials with :func:`merge_sharded_topk`;
+    ``None`` searches every segment, and :func:`vector_search_merged` is
+    that case merged.  ``role`` (a :class:`~repro.core.auth.Role`) masks
+    out the rows it may not read; ``None`` reads everything.  ``stats``,
+    when given, receives each searched attribute's
+    :class:`~repro.core.action.ActionStats`.
     """
     if k <= 0:
         raise VectorSearchError("k must be positive")
@@ -243,15 +191,60 @@ def vector_search_sharded(
     resolved, representative = _resolve_attributes(service, vector_attributes)
     query = _validate_query(query_vector, representative)
 
-    with get_telemetry().span(
-        "vector.search_sharded",
+    tel = get_telemetry()
+    parts = []
+    with tel.span(
+        "vector.search",
         k=k,
         attributes=list(vector_attributes),
         groups=None if groups is None else sorted(groups),
-    ):
-        return _attribute_parts(
-            service, snapshot, resolved, query, k, options, groups, group_size
-        )
+    ) as vspan:
+        for qualified, vertex_type, _ in resolved:
+            # Authorization is one more bitmap intersected with the filter
+            # (Sec. 5.1: "unauthorized vectors are invalid").  None: no
+            # mask; []: no row of this type can match.
+            bitmaps = None if role is None else role.search_masks(snapshot, vertex_type)
+            if options.filter is not None:
+                wanted = filter_bitmaps(snapshot, vertex_type, options.filter)
+                bitmaps = (
+                    wanted
+                    if bitmaps is None
+                    else [mask.intersect(want) for mask, want in zip(bitmaps, wanted)]
+                )
+            if bitmaps is not None and not bitmaps:
+                parts.append((vertex_type, ()))
+                continue
+            store = service.store(vertex_type, qualified.split(".", 1)[1])
+            seg_nos = None
+            if groups is not None:
+                seg_nos = [
+                    seg_no
+                    for seg_no in range(store.num_segments)
+                    if seg_no // group_size in groups
+                ]
+            action = EmbeddingAction(store)
+            with tel.span("vector.attribute", attribute=qualified):
+                result = action.topk(
+                    query,
+                    k,
+                    snapshot_tid=snapshot.tid,
+                    ef=options.ef,
+                    bitmaps=bitmaps,
+                    seg_nos=seg_nos,
+                )
+            if stats is not None:
+                stats.append(action.last_stats)
+            parts.append(
+                (
+                    vertex_type,
+                    tuple(
+                        (float(dist), int(vid))
+                        for vid, dist in zip(result.ids, result.distances)
+                    ),
+                )
+            )
+        vspan.set(merged_candidates=sum(len(pairs) for _, pairs in parts))
+    return parts
 
 
 def merge_sharded_topk(

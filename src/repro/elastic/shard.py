@@ -32,7 +32,8 @@ Two contracts matter here:
   partials computed over different group subsets (before/after a
   rebalance) can never alias.  Fills are further gated by the router's
   ``cache_ok`` verdict (snapshot covers every watermark component),
-  reusing the commit-race analysis from :mod:`repro.serve.cache`.
+  reusing the commit-race analysis from :mod:`repro.serve.cache`, and by
+  the whole-query rule: filtered and non-admin partials are never cached.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ class ShardRequest(QueryRequest):
 
     ``kind="shard"`` keeps the base dispatch honest: ``batch_key()``
     returns ``None`` (partials never batch — each carries its own group
-    set and shipped snapshot) and ``cacheable`` is ``False`` for the
-    *whole-query* cache; the shard maintains its own partial-entry
-    discipline in :meth:`ShardServer._execute_shard`.
+    set and shipped snapshot).  ``cacheable`` applies the whole-query rule
+    (unfiltered, admin role) to the partial cache, which
+    :meth:`ShardServer._execute_shard` keys by watermarks and groups.
     """
 
     #: Segment groups this sub-request must cover (sorted by the router).
@@ -211,11 +212,7 @@ class ShardServer(QueryServer):
             return
 
         key = None
-        if (
-            request.shard_cache_ok
-            and request.filter is None
-            and self.cache is not None
-        ):
+        if request.shard_cache_ok and request.cacheable and self.cache is not None:
             # Watermark-keyed partial entry, disambiguated by the group
             # tuple (6-tuple keys can never collide with the 5-tuple
             # whole-query keys sharing the partition).
@@ -235,6 +232,7 @@ class ShardServer(QueryServer):
 
         options = VectorSearchOptions(filter=request.filter, ef=request.ef)
         try:
+            role = self._role(request)
             parts = self._with_retries(
                 lambda: vector_search_sharded(
                     self.db.service,
@@ -245,6 +243,7 @@ class ShardServer(QueryServer):
                     options,
                     groups=frozenset(request.shard_groups),
                     group_size=self.group_size,
+                    role=role,
                 )
             )
         except ReproError as exc:

@@ -2,9 +2,10 @@
 
 Execution model (paper Sec. 5):
 
-- **pure**            -> EmbeddingAction over all segments, status-bitmap reuse
+- **pure**            -> the one VectorSearch routine over all segments,
+  status-bitmap reuse
 - **filtered**        -> pattern/predicates evaluated first (pre-filter), the
-  qualified vertex set becomes per-segment bitmaps, one vector search call
+  qualified vertex set becomes the routine's filter, one vector search call
 - **range**           -> EmbeddingAction.range with the same pre-filtering
 - **similarity_join** -> enumerate matched paths, brute-force pair distances
   into a global HeapAccum (matched paths are sparse)
@@ -31,6 +32,7 @@ from ..core.search import (
     filter_bitmaps,
     merge_attribute_topk,
     vector_search,
+    vector_search_sharded,
 )
 from ..errors import GSQLSemanticError
 from ..graph.accumulators import (
@@ -449,25 +451,22 @@ def _exec_vector_topk(
             if vec.attr in ctx.db.schema.vertex_type(t).embeddings
         )
     start = time.perf_counter()
-    parts = []
-    stats = None
-    for vertex_type in target_types:
-        store = ctx.db.service.store(vertex_type, vec.attr)
-        bitmaps = None
-        if candidates is not None:
-            bitmaps = filter_bitmaps(ctx.snapshot, vertex_type, candidates)
-            if not bitmaps:
-                continue
-        action = EmbeddingAction(store)
-        result = action.topk(
-            query, k, snapshot_tid=ctx.snapshot.tid, ef=ctx.default_ef, bitmaps=bitmaps
+    stats: list = []
+    top = []
+    if target_types:
+        parts = vector_search_sharded(
+            ctx.db.service,
+            ctx.snapshot,
+            [f"{vertex_type}.{vec.attr}" for vertex_type in target_types],
+            query,
+            k,
+            VectorSearchOptions(filter=candidates, ef=ctx.default_ef),
+            stats=stats,
         )
-        stats = action.last_stats
-        parts.append((vertex_type, zip(result.distances, result.ids)))
-    top = merge_attribute_topk(parts, k)
+        top = merge_attribute_topk(parts, k)
     ctx.metrics["vector_seconds"] = time.perf_counter() - start
-    if stats is not None:
-        ctx.metrics["action_stats"] = stats
+    if stats:
+        ctx.metrics["action_stats"] = stats[-1]
     ranking = [((vertex_type, vid), dist) for dist, vertex_type, vid in top]
     out = RankedVertexSet(ranking, name="TopK")
     for member, _ in ranking:

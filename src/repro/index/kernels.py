@@ -192,23 +192,9 @@ class DistanceKernel:
         return MultiQueryContext(queries, aug_queries, q_sq, contexts)
 
     # ------------------------------------------------------ rank distances
-    def block(self, rows) -> np.ndarray:
-        """Gather augmented rows (see :meth:`rank_from_block`)."""
-        return self._aug.take(rows, axis=0)
-
     def rank(self, ctx: QueryContext, rows) -> np.ndarray:
         """Order-preserving rank distances to ``rows``: one gather + matvec."""
         block = self._aug.take(rows, axis=0)
-        ctx.num_distances += block.shape[0]
-        return block @ ctx.aug_query
-
-    def rank_from_block(self, ctx: QueryContext, block: np.ndarray) -> np.ndarray:
-        """Like :meth:`rank` over a pre-gathered augmented block.
-
-        ``block`` must be ``self.block(rows)`` or a contiguous slice of a
-        concatenated gather; the matvec is then bit-identical to
-        :meth:`rank` on the same rows.
-        """
         ctx.num_distances += block.shape[0]
         return block @ ctx.aug_query
 

@@ -21,11 +21,10 @@ Distance semantics mirror the float kernels exactly:
   normalized query, reducing cosine to IP on unit rows.
 
 Because :class:`PQKernel` subclasses :class:`DistanceKernel` and preserves
-the full contract — ``query``/``queries`` contexts, ``block`` +
-``rank_from_block`` over a pre-gathered block, ``distances_multi`` for
-batch scans, ``pairwise``/``cross`` for neighbour selection and k-means —
-every consumer (brute-force scans, IVF probes, delta overlays) runs over
-codes without modification.
+the full contract — ``query``/``queries`` contexts, ``rank`` over
+gathered rows, ``distances_multi`` for batch scans, ``pairwise``/``cross``
+for neighbour selection and k-means — every consumer (brute-force scans,
+IVF probes, delta overlays) runs over codes without modification.
 
 Scalar quantization is the degenerate case ``m == dim`` with affine
 single-dimension codebooks (``lo[j] + scale[j]·c``), which is how
@@ -343,15 +342,8 @@ class PQKernel(DistanceKernel):
         ctx.num_distances += codes.shape[0]
         return ctx.aug_query[flat].sum(axis=1, dtype=np.float32)
 
-    def block(self, rows) -> np.ndarray:
-        """Gather code rows (see :meth:`rank_from_block`)."""
-        return self._codes.take(rows, axis=0)
-
     def rank(self, ctx: QueryContext, rows) -> np.ndarray:
         return self._rank_codes(ctx, self._codes.take(rows, axis=0))
-
-    def rank_from_block(self, ctx: QueryContext, block: np.ndarray) -> np.ndarray:
-        return self._rank_codes(ctx, block)
 
     def rank_one(self, ctx: QueryContext, row: int) -> float:
         ctx.num_distances += 1

@@ -214,10 +214,12 @@ class QueryRequest:
         """Cache eligibility; broader than batch eligibility.
 
         ``ef`` is part of the cache key, so an ``ef``-keyed entry is always
-        produced at the requested accuracy by the per-query path.
+        produced at the requested accuracy by the per-query path.  Answers
+        (and shard partials) of restricted roles are never cached: the key
+        does not carry the role.
         """
         return (
-            self.kind == "vector"
+            self.kind in ("vector", "shard")
             and self.filter is None
             and self.tenant.role == "admin"
             and not self.no_cache
@@ -703,27 +705,16 @@ class QueryServer:
         if evictions:
             tel.inc("serve.cache_evictions", evictions)
 
+    def _role(self, request: QueryRequest):
+        """The request's RBAC role for the search; ``None`` for admin."""
+        name = request.tenant.role
+        return None if name == "admin" else self.db.access.role(name)
+
     def _execute_single(self, request: QueryRequest, key, snapshot) -> None:
         tel = get_telemetry()
+        options = VectorSearchOptions(filter=request.filter, ef=request.ef)
         try:
-            if request.tenant.role != "admin":
-                # Tenant-scoped view: route through RBAC-filtered search.
-                # It pins its own snapshot and is never cached or fused.
-                value = self._with_retries(
-                    lambda: self.db.access.authorized_search(
-                        request.tenant.role,
-                        list(request.vector_attributes),
-                        request.query,
-                        request.k,
-                        filter=request.filter,
-                        ef=request.ef,
-                    )
-                )
-                self._finish(request, value=value)
-                return
-            options = VectorSearchOptions(
-                filter=request.filter, distance_map=None, ef=request.ef
-            )
+            role = self._role(request)
             top = self._with_retries(
                 lambda: vector_search_merged(
                     self.db.service,
@@ -732,6 +723,7 @@ class QueryServer:
                     request.query,
                     request.k,
                     options,
+                    role=role,
                 )
             )
         except ReproError as exc:

@@ -2,9 +2,11 @@
 
 A tenant bundles the per-client QoS knobs: a scheduling ``weight`` (share
 of worker capacity under contention), an optional token-bucket rate limit,
-an RBAC ``role`` from :mod:`repro.core.auth` (non-admin tenants are routed
-through ``AccessController.authorized_search``), and an ``allow_writes``
-flag enforced on the GSQL path.
+an RBAC ``role`` from :mod:`repro.core.auth`, and an ``allow_writes`` flag
+enforced on the GSQL path.  A non-admin role is enforced by the one
+VectorSearch routine in every tier — the query server and each elastic
+shard pass it as one more bitmap — and its answers and shard partials are
+never cached or batched.
 
 Scheduling is stride-based weighted fair queueing: each tenant carries a
 virtual *pass*; the dispatcher always pops from the non-empty tenant with

@@ -117,6 +117,37 @@ class TestAuthorizedSearch:
         pks = {db.pk_for(t, v) for t, v in result}
         assert all(pk < 50 and pk % 2 == 0 for pk in pks)
 
+    def test_wrong_dimension_is_typed(self, loaded_post_db):
+        from repro.errors import DimensionMismatchError
+
+        db = loaded_post_db
+        with pytest.raises(DimensionMismatchError):
+            db.access.authorized_search(
+                "admin", ["Post.content_emb"], np.zeros(5, dtype=np.float32), k=3
+            )
+
+    def test_served_distance_map_matches_authorized_ranking(self, loaded_post_db):
+        from repro.graph.accumulators import MapAccum
+        from repro.serve import QueryServer, ServeConfig, Tenant
+
+        db = loaded_post_db
+        db.access.create_role("en_only", {"Post": lambda row: row["language"] == "en"})
+        q = db._test_vectors[4]  # post 4 is "fr": its own row is hidden
+        want = MapAccum()
+        ranking = db.access.authorized_search(
+            "en_only", ["Post.content_emb"], q, k=6, distance_map=want
+        )
+        config = ServeConfig(workers=1, enable_batching=False)
+        with QueryServer(db, config, tenants=[Tenant("limited", role="en_only")]) as server:
+            got = MapAccum()
+            served = server.search(
+                ["Post.content_emb"], q, 6, tenant="limited", distance_map=got
+            )
+        assert list(served) == list(ranking)
+        assert len(want.items()) == 6
+        assert sorted(got.items()) == sorted(want.items())
+        assert all(db.pk_for(t, v) % 2 == 1 for t, v in ranking)
+
     def test_invalid_k(self, loaded_post_db):
         from repro.errors import VectorSearchError
 

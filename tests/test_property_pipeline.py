@@ -9,6 +9,12 @@ shards, or as an explicit-``ef`` request submitted together with other
 requests.  Hypothesis draws the query, k, ef and filter over seeded
 data, with and without a filter, over hot HNSW segments with an unmerged
 delta overlay and over PQ-cold segments.
+
+It also draws a restricted tenant whose role hides the odd-id half of
+the rows.  Its answer must be byte-identical across
+``AccessController.authorized_search``, the unbatched server, the cached
+server (which must not cache it) and the elastic tier at every shard
+count, and hold only rows the role may read.
 """
 
 from __future__ import annotations
@@ -26,13 +32,15 @@ from repro.elastic import ElasticTier
 from repro.graph.accumulators import MapAccum
 from repro.graph.vertex_set import VertexSet
 from repro.index.pq import PQSearchConfig
-from repro.serve import QueryServer, ServeConfig
+from repro.serve import QueryServer, ServeConfig, Tenant
 
 DIM = 16
 SEGMENT_SIZE = 64
 NUM_DOCS = 320
 ATTRS = ["Doc.vec"]
 SHARDS = (1, 2, 4)
+ROLE = "even-only"
+TENANTS = [Tenant("restricted", role=ROLE)]
 
 
 def build_db(cold: bool) -> TigerVectorDB:
@@ -56,6 +64,7 @@ def build_db(cold: bool) -> TigerVectorDB:
             txn.set_embedding("Doc", i, "vec", rng.standard_normal(DIM).astype(np.float32))
         for i in range(0, NUM_DOCS, 37):
             txn.set_embedding("Doc", i, "vec", rng.standard_normal(DIM).astype(np.float32))
+    db.access.create_role(ROLE, {"Doc": lambda row: row["id"] % 2 == 0})
     return db
 
 
@@ -67,17 +76,24 @@ class Subject:
         if cold:
             assert self.db.tier_manager.stats_snapshot()["cold_segments"] > 0
         self.plain = QueryServer(
-            self.db, ServeConfig(workers=1, enable_batching=False, enable_cache=False)
+            self.db,
+            ServeConfig(workers=1, enable_batching=False, enable_cache=False),
+            tenants=TENANTS,
         ).start()
         self.cached = QueryServer(
-            self.db, ServeConfig(workers=1, enable_batching=False, enable_cache=True)
+            self.db,
+            ServeConfig(workers=1, enable_batching=False, enable_cache=True),
+            tenants=TENANTS,
         ).start()
         self.batching = QueryServer(
             self.db,
             ServeConfig(workers=1, enable_batching=True, batch_window_seconds=0.02),
+            tenants=TENANTS,
         ).start()
         self.tiers = [
-            ElasticTier(self.db, num_servers=n, config=ServeConfig(workers=1)).start()
+            ElasticTier(
+                self.db, num_servers=n, config=ServeConfig(workers=1), tenants=TENANTS
+            ).start()
             for n in SHARDS
         ]
 
@@ -115,8 +131,11 @@ def answer(run) -> bytes:
     k=st.integers(1, 12),
     ef=st.sampled_from([None, 16, 48]),
     filtered=st.booleans(),
+    restricted=st.booleans(),
 )
-def test_answer_is_identical_on_every_serving_path(subjects, storage, seed, k, ef, filtered):
+def test_answer_is_identical_on_every_serving_path(
+    subjects, storage, seed, k, ef, filtered, restricted
+):
     subject = subjects[storage]
     db = subject.db
     rng = np.random.default_rng(seed)
@@ -127,17 +146,29 @@ def test_answer_is_identical_on_every_serving_path(subjects, storage, seed, k, e
         for pk in rng.choice(NUM_DOCS + 24, size=90, replace=False):
             candidates.add("Doc", db.vid_for("Doc", int(pk)))
     kwargs = dict(filter=candidates, ef=ef)
+    tenant = "restricted" if restricted else "default"
+    role = db.access.role(ROLE) if restricted else None
 
-    want = answer(lambda dm: db.vector_search(ATTRS, query, k, distance_map=dm, **kwargs))
+    if restricted:
+        want = answer(
+            lambda dm: db.access.authorized_search(
+                ROLE, ATTRS, query, k, distance_map=dm, **kwargs
+            )
+        )
+        assert all(db.pk_for("Doc", vid) % 2 == 0 for _, _, vid in pickle.loads(want)[0])
+    else:
+        want = answer(lambda dm: db.vector_search(ATTRS, query, k, distance_map=dm, **kwargs))
     with db.snapshot() as snapshot:
         triples = vector_search_merged(
-            db.service, snapshot, ATTRS, query, k, VectorSearchOptions(**kwargs)
+            db.service, snapshot, ATTRS, query, k, VectorSearchOptions(**kwargs), role=role
         )
     assert pickle.loads(want)[0] == triples
 
     def served(server):
         return answer(
-            lambda dm: server.search(ATTRS, query, k, distance_map=dm, **kwargs)
+            lambda dm: server.search(
+                ATTRS, query, k, distance_map=dm, tenant=tenant, **kwargs
+            )
         )
 
     assert served(subject.plain) == want
@@ -151,7 +182,9 @@ def test_answer_is_identical_on_every_serving_path(subjects, storage, seed, k, e
         companions = rng.standard_normal((5, DIM)).astype(np.float32)
         maps = [MapAccum() for _ in range(len(companions) + 1)]
         futures = [
-            subject.batching.submit_search(ATTRS, q, k, ef=ef, distance_map=dm)
+            subject.batching.submit_search(
+                ATTRS, q, k, ef=ef, distance_map=dm, tenant=tenant
+            )
             for q, dm in zip([query, *companions], maps)
         ]
         vset = futures[0].result(timeout=30)
